@@ -1,16 +1,16 @@
 """Right-angled Artin groups and their word problem.
 
 A RAAG is presented by a simplicial graph: one generator per vertex, one
-commutation relation per edge. The word problem is solved by a piling:
-one stack per vertex, holding +1/-1 entries for the vertex's own letters
-and 0 markers deposited by pushes of non-adjacent generators. Pushing a
-letter either cancels against the previous occurrence of the same
-generator (possible only when every non-adjacent stack shows a marker on
-top, i.e. nothing non-commuting intervened) or stacks a new entry. A
-word is trivial exactly when pushing all of its letters leaves every
-stack empty. Each push costs time proportional to the number of
-non-neighbors of the vertex, so a full check is linear in the word
-length for a fixed graph.
+commutation relation per edge. The word problem is solved by a piling
+(Crisp, Godelle and Wiest, J. Topology 2 (2009)), run in timestamp form:
+letter number t is kept as +t or -t on its own vertex's stack. A letter
+cancels the top of its stack when that entry has the opposite sign and
+no non-adjacent stack has a newer top (nothing non-commuting
+intervened); otherwise it is pushed. A word is trivial exactly when
+every stack ends empty. A push costs O(1) and a cancel attempt reads at
+most |Nbar(v)| stack tops, so a check is linear in the word length for a
+fixed graph. ``push_letter`` is the pure marker-form reference, where a
+push also writes a 0 marker onto every non-adjacent stack.
 
 An independent breadth-first oracle double-checks the solver at small
 scale: a word is trivial iff the empty word is reachable from it using
@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import SimplicialGraph, VertexMap, VertexSubset, induced_subgraph
-from .words import Letter, Word, WordError, exponent_sums, free_reduce, invert
+from .words import Letter, Word, WordError, exponent_sums, free_reduce, invert, letter
 
 __all__ = [
     "Raag",
@@ -108,9 +108,11 @@ def empty_piling(g: SimplicialGraph | Raag) -> Piling:
     return Piling(tuple(() for _ in graph.vertices))
 
 
-def _check_generator(graph: SimplicialGraph, gen: str) -> None:
+def _check_letter(graph: SimplicialGraph, l: Letter) -> None:
+    gen, sign = l
     if not graph.has_vertex(gen):
         raise WordError(f"unknown generator {gen!r}")
+    letter(gen, sign)  # rejects signs other than +1/-1
 
 
 def push_letter(p: Piling, l: Letter, g: SimplicialGraph) -> Piling:
@@ -122,8 +124,8 @@ def push_letter(p: Piling, l: Letter, g: SimplicialGraph) -> Piling:
     otherwise push the sign onto v's stack and a 0 onto every Nbar(v)
     stack.
     """
+    _check_letter(g, l)
     gen, sign = l
-    _check_generator(g, gen)
     v = g.index_of(gen)
     nbar = g.nonneighbors()[v]
     stacks = [list(s) for s in p.stacks]
@@ -142,32 +144,32 @@ def push_letter(p: Piling, l: Letter, g: SimplicialGraph) -> Piling:
 def is_trivial(g: Raag, w: Word) -> bool:
     """Decide whether ``w`` represents the identity of the group.
 
-    Runs the piling over the whole word in one pass; linear in ``len(w)``
-    for a fixed graph.
+    Runs the timestamp piling over the whole word in one pass: a push
+    costs O(1) and a cancel attempt reads at most |Nbar(v)| stack tops,
+    so the pass is linear in ``len(w)`` for a fixed graph.
     """
     graph = g.graph
     index = graph._index
     nbar = graph.nonneighbors()
     stacks: list[list[int]] = [[] for _ in graph.vertices]
-    for gen, sign in w:
+    top = [0] * len(stacks)  # time of each stack's top entry, 0 when empty
+    for t, (gen, sign) in enumerate(w, 1):
         v = index.get(gen)
-        if v is None:
-            raise WordError(f"unknown generator {gen!r}")
+        if v is None or (sign != 1 and sign != -1):
+            _check_letter(graph, (gen, sign))  # raises WordError
         st = stacks[v]
-        if st and st[-1] == -sign:
+        tv = top[v]
+        if tv and st[-1] * sign < 0:
             for u in nbar[v]:
-                su = stacks[u]
-                if not su or su[-1] != 0:
+                if top[u] > tv:
                     break
             else:
                 st.pop()
-                for u in nbar[v]:
-                    stacks[u].pop()
+                top[v] = abs(st[-1]) if st else 0
                 continue
-        st.append(sign)
-        for u in nbar[v]:
-            stacks[u].append(0)
-    verdict = all(not s for s in stacks)
+        st.append(sign * t)
+        top[v] = t
+    verdict = not any(top)
     if verdict and PARITY_ASSERTS:
         assert not any(exponent_sums(w).values()), \
             "trivial verdict with nonzero exponent sum"
@@ -197,8 +199,8 @@ def oracle_is_trivial(g: Raag, w: Word, max_reduced_length: int = 14) -> bool:
     ``max_reduced_length`` rather than risk an oversized search.
     """
     graph = g.graph
-    for gen, _ in w:
-        _check_generator(graph, gen)
+    for l in w:
+        _check_letter(graph, l)
     start = free_reduce(w)
     if len(start) > max_reduced_length:
         raise OracleBoundError(

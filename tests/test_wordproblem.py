@@ -32,6 +32,12 @@ def random_word(rng, graph, max_len=12):
                  for _ in range(rng.randint(0, max_len)))
 
 
+def conjugated_commutator(rng, graph, a, b):
+    """c [a,b] c^-1 for a random conjugator c: trivial iff a, b commute."""
+    c = random_word(rng, graph, max_len=4)
+    return concat(c, ((a, 1), (b, 1), (a, -1), (b, -1)), invert(c))
+
+
 class TestPushLetter:
     def test_push_on_nonadjacent_pair(self):
         g = FREE2.graph
@@ -93,6 +99,21 @@ class TestIsTrivial:
     def test_unknown_generator(self):
         with pytest.raises(WordError):
             is_trivial(EDGE, (("zz", 1),))
+
+    @pytest.mark.parametrize("group,w", [
+        (FREE2, (("a", 0), ("a", 0))),
+        (EDGE, (("a", 2), ("a", -2))),
+        (EDGE, (("a", 1), ("b", -2), ("a", -1))),
+    ])
+    def test_rejects_letter_signs_other_than_one(self, group, w):
+        with pytest.raises(WordError, match="sign"):
+            is_trivial(group, w)
+        with pytest.raises(WordError, match="sign"):
+            oracle_is_trivial(group, w)
+        with pytest.raises(WordError, match="sign"):
+            p = empty_piling(group)
+            for l in w:
+                p = push_letter(p, l, group.graph)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -207,6 +228,30 @@ class TestOracle:
             else:
                 w = sample_nontrivial_word(group, rng.randint(20, 200), rng.getrandbits(32))
             assert is_trivial(group, w) == quadratic_is_trivial(g, w)
+
+    def test_solver_agrees_with_quadratic_deletion_on_larger_graphs(self):
+        # up to 64 vertices, so a cancel attempt scans long non-neighbor
+        # lists; words are products of conjugated edge commutators, with
+        # one conjugated non-edge commutator in the nontrivial half, read
+        # from a random cyclic rotation (a conjugate, same verdict)
+        rng = random.Random(24)
+        checked = 0
+        while checked < 200:
+            g = random_graph(rng.randint(8, 64), rng.uniform(0.1, 0.9), rng.getrandbits(32))
+            edges = g.edge_list()
+            nonedges = [(u, v) for i, u in enumerate(g.vertices)
+                        for v in g.vertices[i + 1:] if not g.has_edge(u, v)]
+            if not edges or not nonedges:
+                continue
+            trivial = checked % 2 == 0
+            w = () if trivial else conjugated_commutator(rng, g, *rng.choice(nonedges))
+            length = rng.randint(200, 600)
+            while len(w) < length:
+                w += conjugated_commutator(rng, g, *rng.sample(rng.choice(edges), 2))
+            r = rng.randrange(len(w))
+            w = w[r:] + w[:r]
+            assert is_trivial(Raag(g), w) == quadratic_is_trivial(g, w) == trivial
+            checked += 1
 
     def test_agrees_with_structure_oracle_exhaustively(self):
         # every graph shape on <= 3 vertices, every word of length <= 4,
