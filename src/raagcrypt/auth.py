@@ -34,8 +34,9 @@ from .graphs import (
     VertexMap,
     VertexSubset,
     format_graph,
+    format_map_lines,
     parse_graph,
-    parse_vertex_map,
+    parse_map_lines,
     triangle_vertices,
     verify_graph_homomorphism,
     verify_induced_subgraph_isomorphism,
@@ -552,32 +553,19 @@ def parse_public_key(text: str):
 
 def format_private_key(key: HomKeyPair | SubKeyPair) -> str:
     if isinstance(key, HomKeyPair):
-        assignment = key.alpha.assignment
-        order = key.g1.vertices
-    else:
-        assignment = key.alpha
-        order = key.s1.ordered()
-    return "".join(f"map {v} {assignment[v]}\n" for v in order)
+        return format_map_lines(key.alpha.assignment, key.g1.vertices)
+    return format_map_lines(key.alpha, key.s1.ordered())
 
 
 def parse_private_key(text: str, public) -> VertexMap | dict[str, str]:
     """Parse against a parsed public key tuple; returns alpha."""
-    if public[0] == "hom":
-        _, g1, g2 = public
-        try:
-            return parse_vertex_map(text, g1, g2)
-        except GraphError as e:
-            raise AuthError(f"bad private key: {e}") from None
+    try:
+        assignment = parse_map_lines(text)
+        if public[0] == "hom":
+            return VertexMap(public[1], public[2], assignment)
+    except GraphError as e:
+        raise AuthError(f"bad private key: {e}") from None
     _, ambient, s1, s2 = public
-    assignment: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] != "map" or len(fields) != 3:
-            raise AuthError(f"line {lineno}: expected 'map <source> <target>'")
-        assignment[fields[1]] = fields[2]
     if set(assignment) != s1.members or set(assignment.values()) != s2.members:
         raise AuthError("private key is not a bijection from s1 onto s2")
     return assignment

@@ -21,10 +21,12 @@ from . import auth, bench, sharing
 from .graphs import (
     GraphError,
     format_graph,
+    format_map_lines,
     parse_graph,
-    format_vertex_map,
+    parse_map_lines,
     parse_vertex_map,
     random_graph,
+    read_graph_text,
     validate_graph,
 )
 from .raag import Raag, is_trivial, sample_nontrivial_word, sample_trivial_word
@@ -62,21 +64,7 @@ def cmd_graph_gen(args) -> int:
 
 
 def cmd_graph_validate(args) -> int:
-    text = _read(args.file)
-    vertices: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "vertices":
-            vertices.extend(fields[1:])
-        elif fields[0] == "edge" and len(fields) == 3:
-            edges.append((fields[1], fields[2]))
-        else:
-            raise GraphError(f"line {lineno}: cannot parse {raw!r}")
-    violations = validate_graph(vertices, edges)
+    violations = validate_graph(*read_graph_text(_read(args.file)))
     if not violations:
         print("ok")
         return EXIT_OK
@@ -174,9 +162,12 @@ def _parse_decoded(path: str) -> dict[str, str]:
         if not value:
             raise sharing.SharingError(f"{path}: cannot parse line {raw!r}")
         fields[key] = value
-    for required in ("scheme", "bits"):
-        if required not in fields:
-            raise sharing.SharingError(f"{path}: missing '{required}' line")
+    required = ["scheme", "bits"]
+    if fields.get("scheme") == "tn":
+        required += ["participant", "p", "t"]
+    for key in required:
+        if key not in fields:
+            raise sharing.SharingError(f"{path}: missing '{key}' line")
     return fields
 
 
@@ -201,7 +192,7 @@ def cmd_reconstruct_tn(args) -> int:
     p = t = None
     for path in args.files:
         fields = _parse_decoded(path)
-        if fields["scheme"] != "tn" or "p" not in fields or "t" not in fields:
+        if fields["scheme"] != "tn":
             raise sharing.SharingError(f"{path}: not a tn share")
         if p is None:
             p, t = int(fields["p"]), int(fields["t"])
@@ -253,26 +244,12 @@ def cmd_auth_prove(args) -> int:
         _write(out / f"round{i}_commitment.txt", format_graph(state.commitment))
         response = state.response
         if isinstance(response, auth.VertexMap):
-            _write(out / f"round{i}_response.txt", format_vertex_map(response))
-        else:
-            lines = "".join(f"map {v} {response[v]}\n" for v in state.commitment.vertices)
-            _write(out / f"round{i}_response.txt", lines)
+            response = response.assignment
+        _write(out / f"round{i}_response.txt",
+               format_map_lines(response, state.commitment.vertices))
     _write(out / "transcript.txt", auth.format_transcript(transcript))
     print(f"wrote {len(transcript.rounds)} rounds to {out}")
     return EXIT_OK if transcript.accept else EXIT_NEGATIVE
-
-
-def _parse_response_map(text: str) -> dict[str, str]:
-    assignment: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] != "map" or len(fields) != 3 or fields[1] in assignment:
-            raise auth.AuthError(f"bad response line {raw!r}")
-        assignment[fields[1]] = fields[2]
-    return assignment
 
 
 def cmd_auth_verify(args) -> int:
@@ -291,7 +268,7 @@ def cmd_auth_verify(args) -> int:
                 verdict = auth.hom_verify(g1, g2, commitment, challenge, response)
             else:
                 _, ambient, s1, s2 = public
-                response = _parse_response_map(response_text)
+                response = parse_map_lines(response_text)
                 verdict = auth.sub_verify(ambient, s1, s2, commitment, challenge, response)
         except (GraphError, auth.AuthError):
             verdict = False  # malformed response is a rejection, not an error

@@ -5,17 +5,23 @@ multiple edges. Vertex labels are opaque strings; the declaration order
 of the vertices is significant and is the ordering used everywhere a
 deterministic traversal is needed (serialization, search, sampling).
 
-Two search problems live here, both solved by exact backtracking with an
-explicit node budget: strict graph homomorphism (adjacent vertices must
-map to distinct adjacent vertices) and induced subgraph isomorphism
-(edges and non-edges both preserved).
+Two search problems live here, both solved exactly with an explicit node
+budget: strict graph homomorphism (adjacent vertices must map to
+distinct adjacent vertices) and induced subgraph isomorphism (edges and
+non-edges both preserved). Both run one depth-first search with forward
+checking (Haralick and Elliott, 1980) over int bitmask candidate
+domains, built from each graph's cached ``adjacency_masks()``: an
+assignment cuts every later position's domain to what stays consistent
+with it, and a branch ends as soon as a domain is empty. One budget node
+is one attempted assignment. Variables go in declaration order and
+values lowest index first, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "GraphError",
@@ -33,7 +39,10 @@ __all__ = [
     "random_graph",
     "triangle_vertices",
     "format_graph",
+    "read_graph_text",
     "parse_graph",
+    "format_map_lines",
+    "parse_map_lines",
     "format_vertex_map",
     "parse_vertex_map",
 ]
@@ -110,7 +119,7 @@ class SimplicialGraph:
     across threads.
     """
 
-    __slots__ = ("vertices", "edges", "adjacency", "_index", "_nbar_cache")
+    __slots__ = ("vertices", "edges", "adjacency", "_index", "_nbar_cache", "_mask_cache")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]] = ()):
         vertices = tuple(vertices)
@@ -128,6 +137,7 @@ class SimplicialGraph:
             adj[v].add(u)
         self.adjacency: dict[str, frozenset[str]] = {v: frozenset(s) for v, s in adj.items()}
         self._nbar_cache: tuple[tuple[int, ...], ...] | None = None
+        self._mask_cache: tuple[int, ...] | None = None
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
@@ -158,6 +168,15 @@ class SimplicialGraph:
                 out.append(tuple(j for j in range(n) if j != i and self.vertices[j] not in adj))
             self._nbar_cache = tuple(out)
         return self._nbar_cache
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Per-vertex neighbour sets as int bitmasks: bit ``j`` of entry
+        ``i`` is set iff vertices ``i`` and ``j`` are adjacent (indices in
+        declaration order). Built on first use and cached."""
+        if self._mask_cache is None:
+            bit = {v: 1 << i for i, v in enumerate(self.vertices)}.__getitem__
+            self._mask_cache = tuple(sum(map(bit, self.adjacency[v])) for v in self.vertices)
+        return self._mask_cache
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialGraph):
@@ -290,57 +309,76 @@ def verify_graph_homomorphism(f: VertexMap) -> bool:
     return True
 
 
-def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,
-                            budget: int = 1_000_000) -> VertexMap | None:
-    """Exhaustive backtracking search for a strict graph homomorphism.
+def _forward_check(relation: list[list[int]], domain: int, on: Sequence[int],
+                   off: Sequence[int], budget: int, problem: str) -> list[int] | None:
+    """Depth-first search with forward checking over int bitmask domains.
 
-    Tries target vertices for each source vertex in declaration order,
-    pruning as soon as an edge to an already-assigned vertex is not
-    preserved. ``budget`` caps the number of attempted assignments
-    (search-tree nodes); exceeding it raises SearchBudgetExceeded, which
-    is a distinct outcome from the exhaustive ``None``.
+    Positions are assigned in order 0, 1, ...; every position's domain
+    starts as ``domain``. Assigning candidate ``c`` (a bit index) to
+    position ``i`` intersects the domain of each later position ``j``
+    with ``on[c]`` when ``relation[i][j - i - 1]`` is set and with
+    ``off[c]`` when it is not, and the branch is pruned as soon as one
+    of those domains is empty. Candidates are taken straight from the
+    domain, lowest bit first, so they never need re-checking against
+    earlier positions. One budget node is one attempted assignment;
+    exceeding ``budget`` raises SearchBudgetExceeded. Returns the
+    candidate of each position, or ``None`` once the space is exhausted.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    src = source.vertices
-    n = len(src)
-    if n == 0:
-        return VertexMap(source, target, {})
-    if not target.vertices:
-        return None
-    # for each position, the earlier positions it is adjacent to
-    earlier: list[list[int]] = []
-    for i, v in enumerate(src):
-        adj = source.adjacency[v]
-        earlier.append([j for j in range(i) if src[j] in adj])
-    tgt = target.vertices
-    tadj = target.adjacency
-    assigned: list[str | None] = [None] * n
+    n = len(relation)
+    assigned = [0] * n
     nodes = 0
 
-    def extend(i: int) -> bool:
+    def extend(i: int, domains: list[int]) -> bool:
         nonlocal nodes
         if i == n:
             return True
-        for cand in tgt:
+        rest = domains[1:]
+        row = relation[i]
+        dom = domains[0]
+        while dom:
+            low = dom & -dom
+            dom ^= low
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(f"homomorphism search exceeded {budget} nodes")
-            ok = True
-            for j in earlier[i]:
-                if assigned[j] not in tadj[cand]:
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = cand
-                if extend(i + 1):
+                raise SearchBudgetExceeded(f"{problem} search exceeded {budget} nodes")
+            c = low.bit_length() - 1
+            yes, no = on[c], off[c]
+            child = [d & (yes if r else no) for d, r in zip(rest, row)]
+            if all(child):
+                assigned[i] = c
+                if extend(i + 1, child):
                     return True
-                assigned[i] = None
         return False
 
-    if extend(0):
-        return VertexMap(source, target, dict(zip(src, assigned)))
-    return None
+    return assigned if extend(0, [domain] * n) else None
+
+
+def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,
+                            budget: int = 1_000_000) -> VertexMap | None:
+    """Exhaustive search for a strict graph homomorphism, by forward checking.
+
+    Source vertices are assigned in declaration order, target vertices
+    tried lowest index first. Each source vertex keeps a bitmask domain
+    of the target vertices still open to it; assigning ``c`` cuts the
+    domain of every later source neighbour down to the neighbours of
+    ``c``, and a branch ends as soon as a domain is empty. ``budget``
+    caps the number of attempted assignments (search-tree nodes);
+    exceeding it raises SearchBudgetExceeded, which is a distinct outcome
+    from the exhaustive ``None``.
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    n = len(source.vertices)
+    smask = source.adjacency_masks()
+    relation = [[smask[i] >> j & 1 for j in range(i + 1, n)] for i in range(n)]
+    everything = (1 << len(target.vertices)) - 1
+    tadj = target.adjacency_masks()
+    found = _forward_check(relation, everything, tadj, [everything] * len(tadj),
+                           budget, "homomorphism")
+    if found is None:
+        return None
+    tgt = target.vertices
+    return VertexMap(source, target, {v: tgt[c] for v, c in zip(source.vertices, found)})
 
 
 def _check_bijection(g: SimplicialGraph, m1: frozenset[str], m2: frozenset[str],
@@ -369,11 +407,18 @@ def verify_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
 
 def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
                                       budget: int = 1_000_000) -> dict[str, str] | None:
-    """Exhaustive backtracking search for an induced isomorphism s1 -> s2.
+    """Exhaustive search for an induced isomorphism s1 -> s2, by forward checking.
 
     Returns a bijection dict, ``None`` when none exists (in particular
     immediately when the subsets have different sizes), or raises
-    SearchBudgetExceeded. Search order follows vertex declaration order.
+    SearchBudgetExceeded. Members of s1 are assigned in declaration
+    order, members of s2 tried lowest index first. Each member of s1
+    keeps a bitmask domain of the s2 members still open to it; assigning
+    ``c`` cuts the domain of every later member to the s2 neighbours of
+    ``c`` (where the pair is an edge) or to its other non-neighbours
+    (where it is not), which also keeps the map injective. ``budget``
+    caps the number of attempted assignments, as in
+    find_graph_homomorphism.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -381,41 +426,17 @@ def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
     m2 = _subset_members(g, s2)
     if len(m1) != len(m2):
         return None
-    left = [v for v in g.vertices if v in m1]
-    right = [v for v in g.vertices if v in m2]
-    n = len(left)
-    assigned: list[str | None] = [None] * n
-    used: set[str] = set()
-    nodes = 0
-
-    def extend(i: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            return True
-        u = left[i]
-        for cand in right:
-            if cand in used:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"induced isomorphism search exceeded {budget} nodes")
-            ok = True
-            for j in range(i):
-                if g.has_edge(u, left[j]) != g.has_edge(cand, assigned[j]):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = cand
-                used.add(cand)
-                if extend(i + 1):
-                    return True
-                used.discard(cand)
-                assigned[i] = None
-        return False
-
-    if extend(0):
-        return dict(zip(left, assigned))
-    return None
+    verts = g.vertices
+    left = [i for i, v in enumerate(verts) if v in m1]
+    right = sum(1 << i for i, v in enumerate(verts) if v in m2)
+    adj = g.adjacency_masks()
+    relation = [[adj[u] >> w & 1 for w in left[k + 1:]] for k, u in enumerate(left)]
+    on = [a & right for a in adj]
+    off = [right & ~(a | 1 << c) for c, a in enumerate(adj)]
+    found = _forward_check(relation, right, on, off, budget, "induced isomorphism")
+    if found is None:
+        return None
+    return {verts[u]: verts[c] for u, c in zip(left, found)}
 
 
 def random_graph(n: int, p: float, seed: int) -> SimplicialGraph:
@@ -464,15 +485,25 @@ def format_graph(g: SimplicialGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> SimplicialGraph:
-    """Parse the graph text format; raises GraphError on any problem."""
+def _directives(text: str):
+    """(line number, fields) of each line that is neither blank nor a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
+def read_graph_text(text: str) -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+    """The vertices and edges a graph text declares, unvalidated.
+
+    Raises GraphError where the text format itself is broken (unknown
+    directive, malformed or repeated line, no 'vertices' line). Pass the
+    result to ``validate_graph`` to collect the invariant violations that
+    ``parse_graph`` would raise on.
+    """
     vertices: tuple[str, ...] | None = None
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in _directives(text):
         if fields[0] == "vertices":
             if vertices is not None:
                 raise GraphError(f"line {lineno}: repeated 'vertices' line")
@@ -485,27 +516,35 @@ def parse_graph(text: str) -> SimplicialGraph:
             raise GraphError(f"line {lineno}: unknown directive {fields[0]!r}")
     if vertices is None:
         raise GraphError("missing 'vertices' line")
-    violations = validate_graph(vertices, edges)
-    if violations:
-        raise GraphError("; ".join(violations))
-    return SimplicialGraph(vertices, edges)
+    return vertices, edges
 
 
-def format_vertex_map(f: VertexMap) -> str:
-    lines = [f"map {v} {f.assignment[v]}" for v in f.source.vertices]
-    return "\n".join(lines) + ("\n" if lines else "")
+def parse_graph(text: str) -> SimplicialGraph:
+    """Parse the graph text format; raises GraphError on any problem."""
+    return SimplicialGraph(*read_graph_text(text))
 
 
-def parse_vertex_map(text: str, source: SimplicialGraph, target: SimplicialGraph) -> VertexMap:
+def format_map_lines(assignment: Mapping[str, str], order: Iterable[str]) -> str:
+    """One 'map <source> <target>' line per source vertex, in ``order``."""
+    return "".join(f"map {v} {assignment[v]}\n" for v in order)
+
+
+def parse_map_lines(text: str) -> dict[str, str]:
+    """Read 'map <source> <target>' lines; raises GraphError on a malformed
+    line or a repeated source vertex. Checks nothing against any graph."""
     assignment: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in _directives(text):
         if fields[0] != "map" or len(fields) != 3:
             raise GraphError(f"line {lineno}: expected 'map <source> <target>'")
         if fields[1] in assignment:
             raise GraphError(f"line {lineno}: repeated source vertex {fields[1]!r}")
         assignment[fields[1]] = fields[2]
-    return VertexMap(source, target, assignment)
+    return assignment
+
+
+def format_vertex_map(f: VertexMap) -> str:
+    return format_map_lines(f.assignment, f.source.vertices)
+
+
+def parse_vertex_map(text: str, source: SimplicialGraph, target: SimplicialGraph) -> VertexMap:
+    return VertexMap(source, target, parse_map_lines(text))

@@ -34,6 +34,20 @@ def brute_force_homomorphism_exists(source: SimplicialGraph, target: SimplicialG
     return False
 
 
+def brute_force_induced_isomorphism_exists(g: SimplicialGraph, s1, s2) -> bool:
+    """Try every bijection from s1 onto s2 against the induced condition:
+    a pair of s1 is an edge exactly when its image pair is."""
+    left = sorted(s1)
+    if len(left) != len(set(s2)):
+        return False
+    for images in itertools.permutations(sorted(set(s2))):
+        f = dict(zip(left, images))
+        if all((frozenset((u, v)) in g.edges) == (frozenset((f[u], f[v])) in g.edges)
+               for u, v in itertools.combinations(left, 2)):
+            return True
+    return False
+
+
 def _syllable_reduce_free_product(word, left_gens: set[str]) -> bool:
     """Word problem in (Z^2) * Z style free products: repeatedly drop
     maximal one-factor syllables that evaluate to the factor identity.

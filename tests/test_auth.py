@@ -28,6 +28,8 @@ from raagcrypt.auth import (
 from raagcrypt.graphs import (
     SimplicialGraph,
     VertexMap,
+    find_graph_homomorphism,
+    find_induced_subgraph_isomorphism,
     triangle_vertices,
     verify_graph_homomorphism,
     verify_induced_subgraph_isomorphism,
@@ -371,6 +373,22 @@ class TestKeyInvariants:
                        alpha=bad)
 
 
+class TestKeyRecovery:
+    """The searches recover every small planted key, and the result verifies."""
+
+    def test_planted_keys_are_recovered(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            key = hom_keygen(rng.randint(1, 7), rng.randint(3, 7), rng.getrandbits(32))
+            f = find_graph_homomorphism(key.g1, key.g2, budget=10**6)
+            assert f is not None and verify_graph_homomorphism(f)
+            m = rng.randint(1, 5)
+            key = sub_keygen(rng.randint(2 * m, 2 * m + 6), m, rng.getrandbits(32))
+            f = find_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, budget=10**6)
+            assert f is not None
+            assert verify_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, f)
+
+
 class TestKeyFiles:
     def test_hom_round_trip(self):
         key = hom_keygen(6, 7, 21)
@@ -406,6 +424,13 @@ class TestKeyFiles:
         text = format_private_key(key).splitlines()
         with pytest.raises(AuthError):
             parse_private_key("\n".join(text[:-1]), public)  # not onto s2
+
+    def test_private_key_rejects_repeated_sub_line(self):
+        key = sub_keygen(12, 5, 21)
+        public = parse_public_key(format_public_key(key))
+        text = format_private_key(key)
+        with pytest.raises(AuthError, match="repeated source vertex"):
+            parse_private_key(text + text.splitlines()[0] + "\n", public)
 
     def test_transcript_round_trip(self):
         key = hom_keygen(6, 6, 2)

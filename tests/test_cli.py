@@ -20,6 +20,7 @@ import pytest
 
 import raagcrypt
 from raagcrypt.cli import main
+from raagcrypt.graphs import GraphError, parse_graph
 
 EDGE_GRAPH = "vertices a b\nedge a b\n"
 FREE_GRAPH = "vertices a b\n"
@@ -76,6 +77,23 @@ class TestGraphCommands:
         p = tmp_path / "junk.txt"
         p.write_text("what is this\n")
         assert run(capsys, "graph", "validate", str(p))[0] == 2
+
+    def test_validate_agrees_with_parse_graph(self, capsys, tmp_path):
+        texts = ["vertices a b\nvertices c\nedge a c\n", "vertices a b\nedge a\n",
+                 "edge a b\n", "vertices a\nedge a a\n", "vertices a a\n",
+                 "# c\nvertices a b c\n\nedge a b\nedge b c\n"]
+        for k, text in enumerate(texts):
+            p = tmp_path / f"g{k}.txt"
+            p.write_text(text)
+            code, out, err = run(capsys, "graph", "validate", str(p))
+            try:
+                parse_graph(text)
+            except GraphError as e:
+                assert code != 0 and str(e) in out + err, text
+            else:
+                assert code == 0 and out.strip() == "ok", text
+        code, _, err = run(capsys, "graph", "validate", str(tmp_path / "g0.txt"))
+        assert code == 2 and "repeated 'vertices' line" in err
 
     def test_missing_file(self, capsys):
         assert run(capsys, "graph", "validate", "/nonexistent/g.txt")[0] == 2
@@ -151,6 +169,13 @@ class TestSharingCommands:
             decoded.append(str(out))
         code, out, _ = run(capsys, "reconstruct-tn", *decoded, "--expect", "5")
         assert code == 0 and out.strip() == "5"
+
+    def test_tn_decoded_file_without_participant(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("scheme tn\nparticipant 1\nbits 0011\np 17\nt 2\n")
+        bad.write_text("scheme tn\nbits 0101\np 17\nt 2\n")
+        code, _, err = run(capsys, "reconstruct-tn", str(good), str(bad))
+        assert code == 2 and "missing 'participant' line" in err
 
     def test_tn_composite_prime_rejected(self, capsys, tmp_path):
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "10", "--threshold", "2",

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from conftest import brute_force_homomorphism_exists, brute_force_three_colorable
+from conftest import (
+    brute_force_homomorphism_exists,
+    brute_force_induced_isomorphism_exists,
+    brute_force_three_colorable,
+)
 from raagcrypt.graphs import (
     GraphError,
     SearchBudgetExceeded,
@@ -252,6 +256,24 @@ class TestInducedIsomorphism:
                 hits += 1
                 assert verify_induced_subgraph_isomorphism(g, s1, s2, f)
         assert hits > 20  # the corpus really exercises the success path
+
+    def test_find_agrees_with_brute_force(self):
+        # completeness as well as soundness: a search that prunes a
+        # solvable instance to None fails here
+        rng = random.Random(29)
+        outcomes = {True: 0, False: 0}
+        for _ in range(400):
+            g = random_graph(rng.randint(2, 8), rng.random(), rng.getrandbits(32))
+            k = rng.randint(1, min(4, len(g.vertices) // 2))
+            picks = rng.sample(list(g.vertices), 2 * k)
+            s1, s2 = picks[:k], picks[k:]
+            f = find_induced_subgraph_isomorphism(g, s1, s2, budget=10**6)
+            exists = brute_force_induced_isomorphism_exists(g, s1, s2)
+            assert (f is not None) == exists, (format_graph(g), s1, s2)
+            if f is not None:
+                assert verify_induced_subgraph_isomorphism(g, s1, s2, f)
+            outcomes[exists] += 1
+        assert min(outcomes.values()) > 50  # both outcomes are exercised
 
     def test_find_budget(self):
         g = complete(8)
