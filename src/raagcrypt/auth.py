@@ -1,13 +1,15 @@
 """Challenge-response authentication from graph search problems.
 
-Both schemes follow the same three-message shape. The prover publishes a
-commitment graph G and withholds a session map beta from G into the
+Both schemes run the same three-message protocol. The prover publishes
+a commitment graph G and withholds a session map beta from G into the
 first public object; the verifier sends a random bit c; the prover
 reveals beta (c = 0) or the composite of beta with the long-term private
 key alpha (c = 1); the verifier checks the revealed map against the
 public data. A cheater who prepared for only one challenge value
 survives a round with probability 1/2, so r rounds drive the soundness
-error to 2^-r.
+error to 2^-r. ``run_protocol`` runs both schemes and every prover
+strategy in one round loop; only building a commitment, answering a
+wrong guess at random and verifying depend on the scheme.
 
 Scheme "hom": public key is a pair of graphs; alpha is a strict graph
 homomorphism between them. Keys and commitments are planted: instances
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from .graphs import (
@@ -141,22 +144,27 @@ class Transcript:
 # planted-instance construction
 
 
-def _pullback_graph(target: SimplicialGraph, size: int, prefix: str,
-                    rng: random.Random, keep_prob: float) -> tuple[SimplicialGraph, VertexMap]:
-    """A fresh graph plus a strict homomorphism into ``target``.
-
-    Vertices get a random image each; candidate edges are exactly the
-    pairs whose images are adjacent, kept independently with
-    ``keep_prob``, so the assignment verifies by construction.
-    """
-    vertices = tuple(f"{prefix}{i}" for i in range(size))
+def _random_images(target: SimplicialGraph, count: int, rng: random.Random) -> list[str]:
     targets = target.vertices
     if not targets:
         raise AuthError("target graph must have at least one vertex")
-    assignment = {v: targets[rng.randrange(len(targets))] for v in vertices}
+    return [targets[rng.randrange(len(targets))] for _ in range(count)]
+
+
+def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
+                    rng: random.Random,
+                    keep_prob: float = COMMIT_KEEP_PROB) -> tuple[SimplicialGraph, VertexMap]:
+    """A fresh graph on one vertex per image, plus the strict homomorphism
+    sending vertex i to ``images[i]`` in ``target``.
+
+    Candidate edges are exactly the pairs whose images are adjacent, kept
+    independently with ``keep_prob``, so the map verifies by construction.
+    """
+    vertices = tuple(f"{prefix}{i}" for i in range(len(images)))
+    assignment = dict(zip(vertices, images))
     edges = []
-    for i in range(size):
-        for j in range(i + 1, size):
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
             u, v = vertices[i], vertices[j]
             if target.has_edge(assignment[u], assignment[v]) and rng.random() < keep_prob:
                 edges.append((u, v))
@@ -192,24 +200,13 @@ def hom_keygen(n1: int, n2: int, seed: int,
     g2 = SimplicialGraph(g2_vertices, sorted(edges))
     # an injective assignment (when it fits) keeps the pulled-back edge
     # supply near g2's, so key quality does not collapse on unlucky seeds
-    g1_vertices = tuple(f"a{i}" for i in range(n1))
-    if n1 <= n2:
-        images = rng.sample(g2_vertices, n1)
-    else:
-        images = [g2_vertices[rng.randrange(n2)] for _ in range(n1)]
-    assignment = dict(zip(g1_vertices, images))
-    g1_edges = []
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            u, v = g1_vertices[i], g1_vertices[j]
-            if g2.has_edge(assignment[u], assignment[v]) and rng.random() < keep_prob:
-                g1_edges.append((u, v))
-    g1 = SimplicialGraph(g1_vertices, g1_edges)
-    return HomKeyPair(g1=g1, g2=g2, alpha=VertexMap(g1, g2, assignment))
+    images = rng.sample(g2_vertices, n1) if n1 <= n2 else _random_images(g2, n1, rng)
+    g1, alpha = _pullback_graph(g2, images, "a", rng, keep_prob)
+    return HomKeyPair(g1=g1, g2=g2, alpha=alpha)
 
 
-def hom_commit(key_g1: SimplicialGraph, size: int, seed: int,
-               keep_prob: float = COMMIT_KEEP_PROB) -> tuple[SimplicialGraph, VertexMap]:
+def hom_commit(key_g1: SimplicialGraph, size: int,
+               seed: int) -> tuple[SimplicialGraph, VertexMap]:
     """Fresh session graph G with a withheld homomorphism beta: G -> g1.
 
     Needs only the public part of the key; the same construction is what
@@ -218,7 +215,7 @@ def hom_commit(key_g1: SimplicialGraph, size: int, seed: int,
     if size < 1:
         raise AuthError("commitment size must be at least 1")
     rng = random.Random(seed)
-    return _pullback_graph(key_g1, size, "c", rng, keep_prob)
+    return _pullback_graph(key_g1, _random_images(key_g1, size, rng), "c", rng)
 
 
 def hom_respond(state: RoundState, key: HomKeyPair) -> VertexMap:
@@ -355,119 +352,84 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
 # protocol driver
 
 
-def _hom_prover(key_public: tuple[SimplicialGraph, SimplicialGraph],
-                key: HomKeyPair | None, strategy: str, rng: random.Random,
-                size: int, keep_prob: float):
-    """One round's commitment plus a responder closure. ``key`` is None
-    for cheating strategies: they see only the public part."""
-    g1, g2 = key_public
-
-    def junk(commitment: SimplicialGraph, target: SimplicialGraph) -> VertexMap:
-        targets = target.vertices
-        return VertexMap(commitment, target,
-                         {v: targets[rng.randrange(len(targets))] for v in commitment.vertices})
-
-    if strategy == "honest":
-        commitment, beta = hom_commit(g1, size, rng.getrandbits(64), keep_prob)
-
-        def respond(c: int) -> VertexMap:
-            state = RoundState(commitment=commitment, session=beta, challenge=c)
-            return hom_respond(state, key)
-
-        return commitment, beta, respond
-
-    guess = rng.getrandbits(1) if strategy == "cheat-random" else int(strategy[-1])
-    if guess == 0:
-        commitment, beta = hom_commit(g1, size, rng.getrandbits(64), keep_prob)
-        prepared = {0: beta}
-    else:
-        commitment, gamma = _pullback_graph(g2, size, "c", rng, keep_prob)
-        prepared = {1: gamma}
-
-    def respond(c: int) -> VertexMap:
-        if c in prepared:
-            return prepared[c]
-        return junk(commitment, g1 if c == 0 else g2)
-
-    return commitment, prepared.get(0) or prepared.get(1), respond
-
-
-def _sub_prover(key_public: tuple[SimplicialGraph, VertexSubset, VertexSubset],
-                key: SubKeyPair | None, strategy: str, rng: random.Random):
-    ambient, s1, s2 = key_public
-
-    def junk(commitment: SimplicialGraph, subset: VertexSubset) -> dict[str, str]:
-        members = list(subset.ordered())
-        rng.shuffle(members)
-        return dict(zip(commitment.vertices, members))
-
-    if strategy == "honest":
-        commitment, beta = sub_commit(ambient, s1, rng.getrandbits(64))
-
-        def respond(c: int) -> dict[str, str]:
-            state = RoundState(commitment=commitment, session=beta, challenge=c)
-            return sub_respond(state, key)
-
-        return commitment, beta, respond
-
-    guess = rng.getrandbits(1) if strategy == "cheat-random" else int(strategy[-1])
-    commitment, beta = _relabel_induced(ambient, s1 if guess == 0 else s2, rng)
-
-    def respond(c: int) -> dict[str, str]:
-        if c == guess:
-            return beta
-        return junk(commitment, s1 if c == 0 else s2)
-
-    return commitment, beta, respond
-
-
 def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strategy: str,
                  prover_seed: int, verifier_seed: int, *,
                  commit_size: int | None = None,
                  stop_on_reject: bool = False) -> Transcript:
     """Execute ``rounds`` independent rounds and return the transcript.
 
-    Challenge bits come from the verifier's seeded source; commitments
-    from the prover's, so a run is deterministic in the two seeds.
-    Cheating strategies never touch the private key. With
-    ``stop_on_reject`` the run ends at the first rejected round (the
+    The scheme fixes three steps once, before the rounds: ``commit(bit)``
+    (a commitment plus the session map that answers challenge ``bit``),
+    ``junk`` (a random answer of the right shape) and ``verify``. Each
+    round then commits (for challenge 0 when honest, for the guess when
+    cheating), draws the challenge, responds and verifies. Only the
+    honest prover responds with the private key; a cheater answers with
+    its session map or, after a wrong guess, junk, so cheating
+    strategies never touch the private key.
+
+    Challenge bits come from the verifier's seeded source, everything
+    else from the prover's, so a run is deterministic in the two seeds.
+    With ``stop_on_reject`` the run ends at the first rejected round (the
     overall accept value is unaffected; Monte Carlo callers use this).
     """
     if rounds < 1:
         raise AuthError("need at least one round")
     if strategy not in STRATEGIES:
         raise AuthError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    prng = random.Random(prover_seed)
+    vrng = random.Random(verifier_seed)
+    honest = strategy == "honest"
+    fixed_guess = 1 if strategy == "cheat-guess-1" else 0
     if scheme == "hom":
         if not isinstance(key, HomKeyPair):
             raise AuthError("scheme 'hom' needs a HomKeyPair")
-        public = (key.g1, key.g2)
+        targets = (key.g1, key.g2)
+        size = commit_size if commit_size is not None else len(key.g1.vertices) + 2
+
+        def commit(bit: int) -> tuple[SimplicialGraph, VertexMap]:
+            if bit == 0:
+                return hom_commit(key.g1, size, prng.getrandbits(64))
+            return _pullback_graph(key.g2, _random_images(key.g2, size, prng), "c", prng)
+
+        def junk(commitment: SimplicialGraph, c: int) -> VertexMap:
+            images = _random_images(targets[c], len(commitment.vertices), prng)
+            return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
+
+        respond, verify = hom_respond, partial(hom_verify, key.g1, key.g2)
     elif scheme == "sub":
         if not isinstance(key, SubKeyPair):
             raise AuthError("scheme 'sub' needs a SubKeyPair")
-        public = (key.ambient, key.s1, key.s2)
+        subsets = (key.s1, key.s2)
+
+        def commit(bit: int) -> tuple[SimplicialGraph, dict[str, str]]:
+            if honest:
+                return sub_commit(key.ambient, key.s1, prng.getrandbits(64))
+            return _relabel_induced(key.ambient, subsets[bit], prng)
+
+        def junk(commitment: SimplicialGraph, c: int) -> dict[str, str]:
+            members = list(subsets[c].ordered())
+            prng.shuffle(members)
+            return dict(zip(commitment.vertices, members))
+
+        respond, verify = sub_respond, partial(sub_verify, key.ambient, key.s1, key.s2)
     else:
         raise AuthError(f"unknown scheme {scheme!r}")
-    prng = random.Random(prover_seed)
-    vrng = random.Random(verifier_seed)
-    private = key if strategy == "honest" else None
     states: list[RoundState] = []
     accept = True
     for _ in range(rounds):
-        if scheme == "hom":
-            size = commit_size if commit_size is not None else len(key.g1.vertices) + 2
-            commitment, session, respond = _hom_prover(public, private, strategy, prng,
-                                                       size, COMMIT_KEEP_PROB)
+        guess = prng.getrandbits(1) if strategy == "cheat-random" else fixed_guess
+        commitment, session = commit(guess)
+        state = RoundState(commitment=commitment, session=session,
+                           challenge=vrng.getrandbits(1))
+        if honest:
+            state.response = respond(state, key)
+        elif state.challenge == guess:
+            state.response = session
         else:
-            commitment, session, respond = _sub_prover(public, private, strategy, prng)
-        c = vrng.getrandbits(1)
-        response = respond(c)
-        if scheme == "hom":
-            verdict = hom_verify(key.g1, key.g2, commitment, c, response)
-        else:
-            verdict = sub_verify(key.ambient, key.s1, key.s2, commitment, c, response)
-        states.append(RoundState(commitment=commitment, session=session,
-                                 challenge=c, response=response, verdict=verdict))
-        if not verdict:
+            state.response = junk(commitment, state.challenge)
+        state.verdict = verify(commitment, state.challenge, state.response)
+        states.append(state)
+        if not state.verdict:
             accept = False
             if stop_on_reject:
                 break
@@ -475,7 +437,7 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
 
 
 def acceptance_rate(scheme: str, key, strategy: str, rounds: int, trials: int,
-                    seed: int, commit_size: int | None = None) -> float:
+                    seed: int) -> float:
     """Fraction of ``trials`` protocol runs that accept."""
     if trials < 1:
         raise AuthError("need at least one trial")
@@ -485,7 +447,6 @@ def acceptance_rate(scheme: str, key, strategy: str, rounds: int, trials: int,
         t = run_protocol(scheme, key, rounds, strategy,
                          prover_seed=rng.getrandbits(64),
                          verifier_seed=rng.getrandbits(64),
-                         commit_size=commit_size,
                          stop_on_reject=True)
         accepted += t.accept
     return accepted / trials
@@ -581,7 +542,7 @@ def format_transcript(t: Transcript) -> str:
 
 
 def parse_transcript(text: str) -> tuple[list[tuple[int, int, bool]], bool]:
-    """Returns ([(round, challenge, verdict)], overall accept)."""
+    """Returns ([(round, challenge, verdict)], overall accept); rounds run 1..r, r >= 1."""
     rounds: list[tuple[int, int, bool]] = []
     accept: bool | None = None
     for raw in text.splitlines():
@@ -593,6 +554,8 @@ def parse_transcript(text: str) -> tuple[list[tuple[int, int, bool]], bool]:
             if (len(fields) != 6 or fields[2] != "challenge" or fields[4] != "verdict"
                     or fields[5] not in ("accept", "reject")):
                 raise AuthError(f"bad round line {raw!r}")
+            if fields[1] != str(len(rounds) + 1):
+                raise AuthError(f"expected round {len(rounds) + 1}, got {raw!r}")
             rounds.append((int(fields[1]), int(fields[3]), fields[5] == "accept"))
         elif fields[0] == "accept":
             if len(fields) != 2 or fields[1] not in ("true", "false"):
@@ -602,4 +565,6 @@ def parse_transcript(text: str) -> tuple[list[tuple[int, int, bool]], bool]:
             raise AuthError(f"unknown transcript line {raw!r}")
     if accept is None:
         raise AuthError("transcript missing final accept line")
+    if not rounds:
+        raise AuthError("transcript has no rounds")
     return rounds, accept

@@ -14,6 +14,7 @@ configuration, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from pathlib import Path
 
@@ -107,32 +108,30 @@ def _parse_bits(text: str) -> sharing.BitColumn:
     return tuple(int(ch) for ch in text)
 
 
+def _write_shares(out_dir: str, shares) -> None:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for share in shares:
+        _write(out / f"share_p{share.participant}.txt", sharing.format_share(share))
+        _write(out / f"secret_graph_p{share.participant}.txt", format_graph(share.graph))
+    print(f"wrote {len(shares)} shares to {out}")
+
+
 def cmd_deal_nn(args) -> int:
     secret = _parse_bits(args.secret)
     setup = sharing.random_dealer_setup_nn(args.participants, len(secret),
                                            args.generators, args.edge_prob, args.seed)
-    shares = sharing.deal_nn(setup, secret, args.seed, word_length=args.word_length)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for share in shares:
-        _write(out / f"share_p{share.participant}.txt", sharing.format_share(share))
-        _write(out / f"secret_graph_p{share.participant}.txt", format_graph(share.graph))
-    print(f"wrote {len(shares)} shares to {out}")
+    _write_shares(args.out_dir, sharing.deal_nn(setup, secret, args.seed,
+                                                word_length=args.word_length))
     return EXIT_OK
 
 
 def cmd_deal_tn(args) -> int:
-    rng_setup = sharing.random_dealer_setup_nn(args.participants, 1, args.generators,
+    graphs = sharing.random_participant_graphs(args.participants, args.generators,
                                                args.edge_prob, args.seed)
-    _, shares = sharing.deal_tn(rng_setup.participant_graphs, args.secret, args.prime,
-                                args.threshold, args.seed, k=args.bits,
-                                word_length=args.word_length)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for share in shares:
-        _write(out / f"share_p{share.participant}.txt", sharing.format_share(share))
-        _write(out / f"secret_graph_p{share.participant}.txt", format_graph(share.graph))
-    print(f"wrote {len(shares)} shares to {out}")
+    _, shares = sharing.deal_tn(graphs, args.secret, args.prime, args.threshold, args.seed,
+                                k=args.bits, word_length=args.word_length)
+    _write_shares(args.out_dir, shares)
     return EXIT_OK
 
 
@@ -161,6 +160,8 @@ def _parse_decoded(path: str) -> dict[str, str]:
         key, _, value = line.partition(" ")
         if not value:
             raise sharing.SharingError(f"{path}: cannot parse line {raw!r}")
+        if key in fields:
+            raise sharing.SharingError(f"{path}: repeated '{key}' line")
         fields[key] = value
     required = ["scheme", "bits"]
     if fields.get("scheme") == "tn":
@@ -211,11 +212,14 @@ def cmd_reconstruct_tn(args) -> int:
 # auth
 
 
-def cmd_auth_keygen(args) -> int:
+def _keygen(args, seed: int):
     if args.scheme == "hom":
-        key = auth.hom_keygen(args.g1_size, args.g2_size, args.seed)
-    else:
-        key = auth.sub_keygen(args.ambient_size, args.subgroup_size, args.seed)
+        return auth.hom_keygen(args.g1_size, args.g2_size, seed)
+    return auth.sub_keygen(args.ambient_size, args.subgroup_size, seed)
+
+
+def cmd_auth_keygen(args) -> int:
+    key = _keygen(args, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "public_key.txt", auth.format_public_key(key))
@@ -279,12 +283,8 @@ def cmd_auth_verify(args) -> int:
 
 
 def cmd_auth_simulate(args) -> int:
-    import random as _random
-    rng = _random.Random(args.seed)
-    if args.scheme == "hom":
-        key = auth.hom_keygen(args.g1_size, args.g2_size, rng.getrandbits(64))
-    else:
-        key = auth.sub_keygen(args.ambient_size, args.subgroup_size, rng.getrandbits(64))
+    rng = random.Random(args.seed)
+    key = _keygen(args, rng.getrandbits(64))
     rate = auth.acceptance_rate(args.scheme, key, args.strategy, args.rounds,
                                 args.trials, rng.getrandbits(64))
     print(f"strategy {args.strategy} rounds {args.rounds} trials {args.trials} "

@@ -46,6 +46,7 @@ __all__ = [
     "int_to_bits",
     "bits_to_int",
     "random_dealer_setup_nn",
+    "random_participant_graphs",
     "deal_nn",
     "deal_tn",
     "decode_share_nn",
@@ -302,14 +303,22 @@ class ShareTN:
     t: int
 
 
+def random_participant_graphs(n: int, num_generators: int, edge_prob: float,
+                              seed: int) -> tuple[SimplicialGraph, ...]:
+    """Independent random relator graphs on the same generators, one per participant."""
+    if n < 2:
+        raise SharingError("need at least 2 participants")
+    if num_generators < 1:
+        raise SharingError("need at least one public generator")
+    rng = random.Random(seed)
+    return tuple(random_graph(num_generators, edge_prob, rng.getrandbits(64))
+                 for _ in range(n))
+
+
 def random_dealer_setup_nn(n: int, k: int, num_generators: int, edge_prob: float,
                            seed: int) -> DealerSetupNN:
     """Fresh setup with independent random relator graphs per participant."""
-    rng = random.Random(seed)
-    graphs = tuple(random_graph(num_generators, edge_prob, rng.getrandbits(64))
-                   for _ in range(n))
-    if not graphs:
-        raise SharingError("need at least 2 participants")
+    graphs = random_participant_graphs(n, num_generators, edge_prob, seed)
     return DealerSetupNN(n=n, k=k, generators=graphs[0].vertices,
                          participant_graphs=graphs)
 

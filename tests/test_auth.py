@@ -290,6 +290,20 @@ class TestProtocol:
         rate = acceptance_rate("hom", key, "cheat-random", 1, 600, seed=13)
         assert 0.5 - 0.07 <= rate <= 0.5 + 0.07
 
+    def test_cheaters_never_touch_the_private_key(self, monkeypatch):
+        def refuse(state, key):
+            raise AssertionError("a cheater used the private key")
+
+        monkeypatch.setattr(auth, "hom_respond", refuse)
+        monkeypatch.setattr(auth, "sub_respond", refuse)
+        for scheme, key in (("hom", hom_keygen(8, 8, 11)), ("sub", sub_keygen(16, 7, 11))):
+            for strategy in ("cheat-guess-0", "cheat-guess-1", "cheat-random"):
+                for seed in range(4):
+                    t = run_protocol(scheme, key, 20, strategy, seed, 50 + seed)
+                    assert len(t.rounds) == 20
+            with pytest.raises(AssertionError, match="private key"):
+                run_protocol(scheme, key, 1, "honest", 1, 2)
+
     def test_stop_on_reject_shortens_run(self):
         key = hom_keygen(8, 8, 11)
         t = run_protocol("hom", key, 50, "cheat-random", 1, 2, stop_on_reject=True)
@@ -439,6 +453,17 @@ class TestKeyFiles:
         assert accept is True
         assert [c for _, c, _ in rounds] == [r.challenge for r in t.rounds]
         assert all(v for _, _, v in rounds)
+
+    def test_transcript_requires_rounds_in_order(self):
+        line = "round {} challenge 0 verdict accept\n"
+        for numbers in ((1, 1, 1, 1), (2,), (1, 3), (2, 1), (0, 1)):
+            text = "".join(line.format(i) for i in numbers) + "accept true\n"
+            with pytest.raises(AuthError, match="expected round"):
+                parse_transcript(text)
+        rounds, _ = parse_transcript("".join(line.format(i) for i in (1, 2, 3)) + "accept true\n")
+        assert [i for i, _, _ in rounds] == [1, 2, 3]
+        with pytest.raises(AuthError, match="no rounds"):
+            parse_transcript("accept true\n")
 
     def test_transcript_errors(self):
         with pytest.raises(AuthError):

@@ -177,6 +177,13 @@ class TestSharingCommands:
         code, _, err = run(capsys, "reconstruct-tn", str(good), str(bad))
         assert code == 2 and "missing 'participant' line" in err
 
+    def test_decoded_file_with_repeated_key(self, capsys, tmp_path):
+        repeated, other = tmp_path / "repeated.txt", tmp_path / "other.txt"
+        repeated.write_text("scheme nn\nbits 0101\nbits 1111\n")
+        other.write_text("scheme nn\nbits 0000\n")
+        code, out, err = run(capsys, "reconstruct-nn", str(repeated), str(other))
+        assert code == 2 and out == "" and "repeated 'bits' line" in err
+
     def test_tn_composite_prime_rejected(self, capsys, tmp_path):
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "10", "--threshold", "2",
                    "--participants", "3", "--generators", "3", "--seed", "1",
@@ -236,6 +243,20 @@ class TestAuthCommands:
         code, out, _ = run(capsys, "auth", "verify", "--public", str(key_dir / "public_key.txt"),
                            "--dir", str(run_dir))
         assert code == 1 and "round 1 challenge" in out
+
+    def test_repeated_round_rejected(self, capsys, tmp_path):
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        run(capsys, "auth", "keygen", "--scheme", "hom", "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", str(key_dir / "public_key.txt"),
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "4",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        transcript = run_dir / "transcript.txt"
+        lines = transcript.read_text().splitlines()
+        transcript.write_text("\n".join([lines[0]] * 4 + [lines[-1]]) + "\n")
+        code, out, err = run(capsys, "auth", "verify", "--public", str(key_dir / "public_key.txt"),
+                             "--dir", str(run_dir))
+        assert code == 2 and "accept true" not in out and "expected round 2" in err
 
     def test_simulate_prints_rate(self, capsys):
         code, out, _ = run(capsys, "auth", "simulate", "--scheme", "sub", "--strategy",
