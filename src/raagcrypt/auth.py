@@ -36,6 +36,7 @@ from .graphs import (
     SimplicialGraph,
     VertexMap,
     VertexSubset,
+    _keep_edges,
     format_graph,
     format_map_lines,
     parse_graph,
@@ -161,15 +162,9 @@ def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
     independently with ``keep_prob``, so the map verifies by construction.
     """
     vertices = tuple(f"{prefix}{i}" for i in range(len(images)))
-    assignment = dict(zip(vertices, images))
-    edges = []
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            u, v = vertices[i], vertices[j]
-            if target.has_edge(assignment[u], assignment[v]) and rng.random() < keep_prob:
-                edges.append((u, v))
-    graph = SimplicialGraph(vertices, edges)
-    return graph, VertexMap(graph, target, assignment)
+    masks = _keep_edges(target._induced_masks(images), keep_prob, rng)
+    graph = SimplicialGraph._trusted(vertices, masks)
+    return graph, VertexMap(graph, target, dict(zip(vertices, images)))
 
 
 def hom_keygen(n1: int, n2: int, seed: int,
@@ -187,17 +182,11 @@ def hom_keygen(n1: int, n2: int, seed: int,
         raise AuthError("the source graph needs at least 1 vertex")
     rng = random.Random(seed)
     g2_vertices = tuple(f"b{i}" for i in range(n2))
-    edges = set()
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            if rng.random() < edge_prob:
-                edges.add((g2_vertices[i], g2_vertices[j]))
+    masks = _keep_edges([(1 << n2) - 1] * n2, edge_prob, rng)
     corners = rng.sample(range(n2), 3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            a, b = sorted((corners[i], corners[j]))
-            edges.add((g2_vertices[a], g2_vertices[b]))
-    g2 = SimplicialGraph(g2_vertices, sorted(edges))
+    for a in corners:
+        masks[a] |= sum(1 << b for b in corners if b != a)
+    g2 = SimplicialGraph._trusted(g2_vertices, masks)
     # an injective assignment (when it fits) keeps the pulled-back edge
     # supply near g2's, so key quality does not collapse on unlucky seeds
     images = rng.sample(g2_vertices, n1) if n1 <= n2 else _random_images(g2, n1, rng)
@@ -267,20 +256,15 @@ def sub_keygen(ambient_size: int, subgroup_size: int, seed: int,
     vertices = tuple(f"v{i}" for i in range(ambient_size))
     planted = rng.sample(range(ambient_size), 2 * m)
     s1_ids, s2_ids = planted[:m], planted[m:]
-    pattern = [(i, j) for i in range(m) for j in range(i + 1, m)
-               if rng.random() < pattern_edge_prob]
-    inside = {frozenset((a, b)) for ids in (s1_ids, s2_ids) for a in ids for b in ids if a != b}
-    edges = []
-    for i, j in pattern:
-        edges.append((vertices[s1_ids[i]], vertices[s1_ids[j]]))
-        edges.append((vertices[s2_ids[i]], vertices[s2_ids[j]]))
-    for a in range(ambient_size):
-        for b in range(a + 1, ambient_size):
-            if frozenset((a, b)) in inside:
-                continue
-            if rng.random() < ambient_edge_prob:
-                edges.append((vertices[a], vertices[b]))
-    ambient = SimplicialGraph(vertices, edges)
+    pattern = _keep_edges([(1 << m) - 1] * m, pattern_edge_prob, rng)
+    candidates = [(1 << ambient_size) - 1] * ambient_size
+    copies = [0] * ambient_size  # the pattern's edges inside each planted subset
+    for ids in (s1_ids, s2_ids):
+        for i, a in enumerate(ids):
+            candidates[a] &= ~sum(1 << b for b in ids)
+            copies[a] = sum(1 << ids[j] for j in range(m) if pattern[i] >> j & 1)
+    drawn = _keep_edges(candidates, ambient_edge_prob, rng)
+    ambient = SimplicialGraph._trusted(vertices, [d | c for d, c in zip(drawn, copies)])
     alpha = {vertices[s1_ids[i]]: vertices[s2_ids[i]] for i in range(m)}
     return SubKeyPair(
         ambient=ambient,
@@ -298,17 +282,14 @@ def _relabel_induced(ambient: SimplicialGraph, subset: VertexSubset,
     rng.shuffle(perm)
     vertices = tuple(f"g{i}" for i in range(m))
     beta = {vertices[i]: members[perm[i]] for i in range(m)}
-    edges = [(vertices[i], vertices[j]) for i in range(m) for j in range(i + 1, m)
-             if ambient.has_edge(beta[vertices[i]], beta[vertices[j]])]
-    return SimplicialGraph(vertices, edges), beta
+    return SimplicialGraph._trusted(vertices, ambient._induced_masks(beta.values())), beta
 
 
 def sub_commit(key_ambient: SimplicialGraph, key_s1: VertexSubset,
                seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
     """Fresh relabeling G of the induced subgraph on s1, with the
     relabeling bijection beta: V(G) -> s1 withheld."""
-    rng = random.Random(seed)
-    return _relabel_induced(key_ambient, key_s1, rng)
+    return _relabel_induced(key_ambient, key_s1, random.Random(seed))
 
 
 def sub_respond(state: RoundState, key: SubKeyPair) -> dict[str, str]:
@@ -333,19 +314,11 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
     if not isinstance(response, Mapping):
         return False
     expected = s1 if challenge == 0 else s2
-    verts = commitment.vertices
-    if set(response.keys()) != set(verts):
+    images = [response.get(v) for v in commitment.vertices]
+    # equal sizes and image set: defined on exactly V(G) and a bijection
+    if not len(response) == len(images) == len(expected) or set(images) != expected.members:
         return False
-    images = [response[v] for v in verts]
-    if len(set(images)) != len(images):
-        return False
-    if set(images) != expected.members:
-        return False
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if commitment.has_edge(u, v) != ambient.has_edge(response[u], response[v]):
-                return False
-    return True
+    return commitment.adjacency_masks() == ambient._induced_masks(images)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ configuration, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -257,8 +258,15 @@ def cmd_auth_prove(args) -> int:
 
 
 def cmd_auth_verify(args) -> int:
+    if args.rounds is not None and args.rounds < 1:
+        raise auth.AuthError("need at least one round")
     public = auth.parse_public_key(_read(args.public))
     rounds, _ = auth.parse_transcript(_read(Path(args.dir) / "transcript.txt"))
+    if args.rounds is not None and len(rounds) != args.rounds:
+        # the soundness error 2^-r is the verifier's to fix, not the transcript's
+        print(f"reject: transcript has {len(rounds)} rounds, verifier requires {args.rounds}")
+        print("accept false")
+        return EXIT_NEGATIVE
     all_ok = True
     for i, challenge, _ in rounds:
         commitment = parse_graph(_read(Path(args.dir) / f"round{i}_commitment.txt"))
@@ -282,13 +290,25 @@ def cmd_auth_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
+def _wilson95(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054
+    p, zz = successes / trials, z * z / trials
+    centre = (p + zz / 2) / (1 + zz)
+    half = z / (1 + zz) * math.sqrt(p * (1 - p) / trials + zz / (4 * trials))
+    # the interval contains p exactly; clamp away rounding at 0 of n and n of n
+    return max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half))
+
+
 def cmd_auth_simulate(args) -> int:
     rng = random.Random(args.seed)
     key = _keygen(args, rng.getrandbits(64))
     rate = auth.acceptance_rate(args.scheme, key, args.strategy, args.rounds,
                                 args.trials, rng.getrandbits(64))
+    accepted = round(rate * args.trials)
+    low, high = _wilson95(accepted, args.trials)
     print(f"strategy {args.strategy} rounds {args.rounds} trials {args.trials} "
-          f"acceptance {rate:.6f}")
+          f"accepted {accepted} wilson95 {low:.6f} {high:.6f} acceptance {rate:.6f}")
     return EXIT_OK
 
 
@@ -404,6 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser("verify", help="re-verify a recorded protocol run")
     a.add_argument("--public", required=True)
     a.add_argument("--dir", required=True)
+    a.add_argument("--rounds", type=int,
+                   help="round count the verifier requires; always pass it, since without it "
+                        "the transcript's own round count sets the soundness error 2^-r")
     a.set_defaults(func=cmd_auth_verify)
     a = asub.add_parser("simulate", help="estimate acceptance rates for prover strategies")
     a.add_argument("--scheme", choices=("hom", "sub"), required=True)

@@ -4,23 +4,25 @@ A simplicial graph is a finite undirected graph with no loops and no
 multiple edges. Vertex labels are opaque strings; the declaration order
 of the vertices is significant and is the ordering used everywhere a
 deterministic traversal is needed (serialization, search, sampling).
+Edges are stored as one int bitmask per vertex. Graphs read from outside
+are fully validated; graphs the package generates are built from their
+masks with a structural check only.
 
 Two search problems live here, both solved exactly with an explicit node
 budget: strict graph homomorphism (adjacent vertices must map to
 distinct adjacent vertices) and induced subgraph isomorphism (edges and
 non-edges both preserved). Both run one depth-first search with forward
-checking (Haralick and Elliott, 1980) over int bitmask candidate
-domains, built from each graph's cached ``adjacency_masks()``: an
-assignment cuts every later position's domain to what stays consistent
-with it, and a branch ends as soon as a domain is empty. One budget node
-is one attempted assignment. Variables go in declaration order and
-values lowest index first, so results are deterministic.
+checking (Haralick and Elliott, 1980) over bitmask candidate domains.
+One budget node is one attempted assignment. Variables go in
+declaration order and values lowest index first, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -113,13 +115,12 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[Iterable[str]]) -> l
 class SimplicialGraph:
     """Immutable finite simplicial graph.
 
-    ``vertices`` is an ordered tuple of distinct labels; ``edges`` is a
-    frozenset of two-element frozensets. Instances are validated on
-    construction and never mutated afterwards, so they are safe to share
-    across threads.
+    ``vertices`` is an ordered tuple of distinct labels. One int bitmask per
+    vertex (``adjacency_masks()``) is the only edge store; ``edges``, ``adjacency``,
+    ``nonneighbors()`` and ``edge_list()`` are derived from the masks on first use
+    and cached. The constructor runs the full ``validate_graph``; generated graphs
+    come from ``_trusted``. Never mutated afterwards, so safe to share.
     """
-
-    __slots__ = ("vertices", "edges", "adjacency", "_index", "_nbar_cache", "_mask_cache")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]] = ()):
         vertices = tuple(vertices)
@@ -127,67 +128,131 @@ class SimplicialGraph:
         violations = validate_graph(vertices, edges)
         if violations:
             raise GraphError("; ".join(violations))
-        self.vertices: tuple[str, ...] = vertices
-        self.edges: frozenset[frozenset[str]] = frozenset(frozenset(e) for e in edges)
-        self._index: dict[str, int] = {v: i for i, v in enumerate(vertices)}
-        adj: dict[str, set[str]] = {v: set() for v in vertices}
-        for e in self.edges:
-            u, v = tuple(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency: dict[str, frozenset[str]] = {v: frozenset(s) for v, s in adj.items()}
-        self._nbar_cache: tuple[tuple[int, ...], ...] | None = None
-        self._mask_cache: tuple[int, ...] | None = None
+        index = {v: i for i, v in enumerate(vertices)}
+        masks = [0] * len(vertices)
+        for u, v in edges:
+            masks[index[u]] |= 1 << index[v]
+            masks[index[v]] |= 1 << index[u]
+        self.vertices, self._index, self._masks = vertices, index, tuple(masks)
+
+    @classmethod
+    def _trusted(cls, vertices: Iterable[str], masks: Iterable[int]) -> SimplicialGraph:
+        """A generated graph, built from its masks without ``validate_graph``'s pass over
+        the edges. A cheap structural check stays (else GraphError): one mask per vertex,
+        labels valid and distinct, masks symmetric, no loop bit and no bit at or above n."""
+        vertices, masks = tuple(vertices), tuple(masks)
+        n = len(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        text = " ".join(map(str, vertices))
+        # an empty, non-string or whitespace label splits differently
+        if text.split() != list(vertices) or "#" in text or "^" in text or len(index) != n:
+            raise GraphError("; ".join(validate_graph(vertices, ())))
+        if len(masks) != n:
+            raise GraphError(f"{len(masks)} masks for {n} vertices")
+        column = [0] * n  # bits j < i with bit i set in masks[j]
+        for i, m in enumerate(masks):
+            # bits 0..i of a row must mirror its column: symmetric, no loop
+            if m >> n or m & (2 << i) - 1 != column[i]:
+                raise GraphError(f"mask of {vertices[i]!r}: asymmetric, a loop or a bit >= {n}")
+            above = m >> i + 1
+            while above:
+                low = above & -above
+                column[i + low.bit_length()] |= 1 << i
+                above ^= low
+        graph = cls.__new__(cls)
+        graph.vertices, graph._index, graph._masks = vertices, index, masks
+        return graph
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self.adjacency.get(u, ())
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and self._masks[i] >> j & 1 == 1
 
     def index_of(self, v: str) -> int:
         return self._index[v]
 
+    @cached_property
+    def _pairs(self) -> tuple[tuple[str, str], ...]:
+        vs, n = self.vertices, len(self.vertices)
+        return tuple((vs[i], vs[j]) for i, m in enumerate(self._masks)
+                     for j in range(i + 1, n) if m >> j & 1)
+
+    @cached_property
+    def edges(self) -> frozenset[frozenset[str]]:
+        """Edges as two-element frozensets."""
+        return frozenset(map(frozenset, self._pairs))
+
+    @cached_property
+    def adjacency(self) -> dict[str, frozenset[str]]:
+        """Each vertex's neighbours, by label."""
+        vs = self.vertices
+        return {v: frozenset(u for j, u in enumerate(vs) if m >> j & 1)
+                for v, m in zip(vs, self._masks)}
+
     def edge_list(self) -> list[tuple[str, str]]:
-        """Edges as ordered pairs, sorted by vertex declaration order."""
-        idx = self._index
-        pairs = []
-        for e in self.edges:
-            u, v = sorted(e, key=idx.__getitem__)
-            pairs.append((u, v))
-        pairs.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
-        return pairs
+        """Edges as ordered pairs, sorted by vertex declaration order; a fresh list per call."""
+        return list(self._pairs)
+
+    @cached_property
+    def _nbar(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self.vertices)
+        return tuple(tuple(j for j in range(n) if j != i and not m >> j & 1)
+                     for i, m in enumerate(self._masks))
 
     def nonneighbors(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex tuples of indices of distinct non-adjacent vertices."""
-        if self._nbar_cache is None:
-            n = len(self.vertices)
-            out = []
-            for i, v in enumerate(self.vertices):
-                adj = self.adjacency[v]
-                out.append(tuple(j for j in range(n) if j != i and self.vertices[j] not in adj))
-            self._nbar_cache = tuple(out)
-        return self._nbar_cache
+        return self._nbar
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbour sets as int bitmasks: bit ``j`` of entry
         ``i`` is set iff vertices ``i`` and ``j`` are adjacent (indices in
-        declaration order). Built on first use and cached."""
-        if self._mask_cache is None:
-            bit = {v: 1 << i for i, v in enumerate(self.vertices)}.__getitem__
-            self._mask_cache = tuple(sum(map(bit, self.adjacency[v])) for v in self.vertices)
-        return self._mask_cache
+        declaration order)."""
+        return self._masks
+
+    def _induced_masks(self, labels: Iterable[str]) -> tuple[int, ...]:
+        """Masks on positions 0..k-1, ``i`` and ``j`` adjacent iff ``labels[i]`` and
+        ``labels[j]`` are; labels may repeat (a label is never adjacent to itself)."""
+        masks, index = self._masks, self._index
+        idx = [index[v] for v in labels]
+        at = [0] * len(masks)  # the positions holding each vertex
+        for j, b in enumerate(idx):
+            at[b] |= 1 << j
+        present = sum(1 << b for b, positions in enumerate(at) if positions)
+        rows = []
+        for a in idx:
+            rest, row = masks[a] & present, 0
+            while rest:
+                low = rest & -rest
+                row |= at[low.bit_length() - 1]
+                rest ^= low
+            rows.append(row)
+        return tuple(rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self._masks))
 
     def __repr__(self) -> str:
-        return f"SimplicialGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"SimplicialGraph({len(self.vertices)} vertices, {len(self._pairs)} edges)"
+
+
+def _keep_edges(candidates: Sequence[int], p: float, rng: random.Random) -> list[int]:
+    """Masks keeping each candidate edge ``{i, j}``, ``i < j`` (bit ``j`` of ``candidates[i]``),
+    with probability ``p``: one ``rng.random()`` per candidate, in row-major order."""
+    n = len(candidates)
+    masks = [0] * n
+    for i, row in enumerate(candidates):
+        for j in range(i + 1, n):
+            if row >> j & 1 and rng.random() < p:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
 
 
 @dataclass(frozen=True)
@@ -254,11 +319,7 @@ def _subset_members(g: SimplicialGraph, s) -> frozenset[str]:
         if s.parent != g:
             raise GraphError("subset belongs to a different parent graph")
         return s.members
-    members = frozenset(s)
-    missing = [v for v in members if not g.has_vertex(v)]
-    if missing:
-        raise GraphError(f"subset member {missing[0]!r} is not a vertex of the graph")
-    return members
+    return VertexSubset(g, s).members
 
 
 def induced_subgraph(g: SimplicialGraph, s) -> SimplicialGraph:
@@ -269,8 +330,7 @@ def induced_subgraph(g: SimplicialGraph, s) -> SimplicialGraph:
     """
     members = _subset_members(g, s)
     vertices = tuple(v for v in g.vertices if v in members)
-    edges = [(u, v) for u, v in g.edge_list() if u in members and v in members]
-    return SimplicialGraph(vertices, edges)
+    return SimplicialGraph._trusted(vertices, g._induced_masks(vertices))
 
 
 def is_full_subgraph(g: SimplicialGraph, sub: SimplicialGraph) -> bool:
@@ -280,43 +340,32 @@ def is_full_subgraph(g: SimplicialGraph, sub: SimplicialGraph) -> bool:
     subgraphs whose vertex sets generate special subgroups of the
     associated right-angled Artin group.
     """
-    for v in sub.vertices:
-        if not g.has_vertex(v):
-            raise GraphError(f"{v!r} is not a vertex of the ambient graph")
-    for e in sub.edges:
-        if e not in g.edges:
-            u, v = tuple(e)
-            raise GraphError(f"edge ({u!r}, {v!r}) is not an edge of the ambient graph")
-    members = set(sub.vertices)
-    for u, v in g.edge_list():
-        if u in members and v in members and not sub.has_edge(u, v):
-            return False
-    return True
+    _subset_members(g, sub.vertices)  # raises on a vertex outside g
+    extra = [e for e in sub.edge_list() if not g.has_edge(*e)]
+    if extra:
+        raise GraphError(f"edge {extra[0]!r} is not an edge of the ambient graph")
+    return sub.adjacency_masks() == g._induced_masks(sub.vertices)
 
 
 def verify_graph_homomorphism(f: VertexMap) -> bool:
     """Strict edge check: every source edge maps to a target edge.
 
     Since the target is simplicial this forces adjacent vertices to map
-    to distinct vertices. Runs in time proportional to the number of
-    source edges.
+    to distinct vertices. Each source mask must lie inside the target's
+    masks pulled back along the map.
     """
-    assignment = f.assignment
-    target = f.target
-    for u, v in f.source.edge_list():
-        if not target.has_edge(assignment[u], assignment[v]):
-            return False
-    return True
+    pulled = f.target._induced_masks(map(f.assignment.__getitem__, f.source.vertices))
+    return not any(s & ~t for s, t in zip(f.source.adjacency_masks(), pulled))
 
 
-def _forward_check(relation: list[list[int]], domain: int, on: Sequence[int],
+def _forward_check(masks: Sequence[int], domain: int, on: Sequence[int],
                    off: Sequence[int], budget: int, problem: str) -> list[int] | None:
     """Depth-first search with forward checking over int bitmask domains.
 
     Positions are assigned in order 0, 1, ...; every position's domain
     starts as ``domain``. Assigning candidate ``c`` (a bit index) to
     position ``i`` intersects the domain of each later position ``j``
-    with ``on[c]`` when ``relation[i][j - i - 1]`` is set and with
+    with ``on[c]`` when bit ``j`` of ``masks[i]`` is set and with
     ``off[c]`` when it is not, and the branch is pruned as soon as one
     of those domains is empty. Candidates are taken straight from the
     domain, lowest bit first, so they never need re-checking against
@@ -324,7 +373,8 @@ def _forward_check(relation: list[list[int]], domain: int, on: Sequence[int],
     exceeding ``budget`` raises SearchBudgetExceeded. Returns the
     candidate of each position, or ``None`` once the space is exhausted.
     """
-    n = len(relation)
+    n = len(masks)
+    relation = [[m >> j & 1 for j in range(i + 1, n)] for i, m in enumerate(masks)]
     assigned = [0] * n
     nodes = 0
 
@@ -368,26 +418,14 @@ def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    n = len(source.vertices)
-    smask = source.adjacency_masks()
-    relation = [[smask[i] >> j & 1 for j in range(i + 1, n)] for i in range(n)]
     everything = (1 << len(target.vertices)) - 1
     tadj = target.adjacency_masks()
-    found = _forward_check(relation, everything, tadj, [everything] * len(tadj),
-                           budget, "homomorphism")
+    found = _forward_check(source.adjacency_masks(), everything, tadj,
+                           [everything] * len(tadj), budget, "homomorphism")
     if found is None:
         return None
     tgt = target.vertices
     return VertexMap(source, target, {v: tgt[c] for v, c in zip(source.vertices, found)})
-
-
-def _check_bijection(g: SimplicialGraph, m1: frozenset[str], m2: frozenset[str],
-                     f: Mapping[str, str]) -> None:
-    if set(f.keys()) != set(m1):
-        raise GraphError("map is not defined on exactly the first subset")
-    images = set(f.values())
-    if images != set(m2) or len(images) != len(m1):
-        raise GraphError("map is not a bijection onto the second subset")
 
 
 def verify_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
@@ -396,13 +434,12 @@ def verify_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
     edges and non-edges of the ambient graph (the induced condition)."""
     m1 = _subset_members(g, s1)
     m2 = _subset_members(g, s2)
-    _check_bijection(g, m1, m2, f)
-    ordered = [v for v in g.vertices if v in m1]
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1:]:
-            if g.has_edge(u, v) != g.has_edge(f[u], f[v]):
-                return False
-    return True
+    if set(f.keys()) != m1:
+        raise GraphError("map is not defined on exactly the first subset")
+    images = set(f.values())
+    if images != m2 or len(images) != len(m1):
+        raise GraphError("map is not a bijection onto the second subset")
+    return g._induced_masks(f) == g._induced_masks(f.values())
 
 
 def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
@@ -427,16 +464,15 @@ def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
     if len(m1) != len(m2):
         return None
     verts = g.vertices
-    left = [i for i, v in enumerate(verts) if v in m1]
+    left = [v for v in verts if v in m1]
     right = sum(1 << i for i, v in enumerate(verts) if v in m2)
     adj = g.adjacency_masks()
-    relation = [[adj[u] >> w & 1 for w in left[k + 1:]] for k, u in enumerate(left)]
     on = [a & right for a in adj]
     off = [right & ~(a | 1 << c) for c, a in enumerate(adj)]
-    found = _forward_check(relation, right, on, off, budget, "induced isomorphism")
+    found = _forward_check(g._induced_masks(left), right, on, off, budget, "induced isomorphism")
     if found is None:
         return None
-    return {verts[u]: verts[c] for u, c in zip(left, found)}
+    return {u: verts[c] for u, c in zip(left, found)}
 
 
 def random_graph(n: int, p: float, seed: int) -> SimplicialGraph:
@@ -445,28 +481,18 @@ def random_graph(n: int, p: float, seed: int) -> SimplicialGraph:
         raise ValueError("vertex count must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    vertices = tuple(f"v{i}" for i in range(n))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((vertices[i], vertices[j]))
-    return SimplicialGraph(vertices, edges)
+    masks = _keep_edges([(1 << n) - 1] * n, p, random.Random(seed))
+    return SimplicialGraph._trusted((f"v{i}" for i in range(n)), masks)
 
 
 def triangle_vertices(g: SimplicialGraph) -> tuple[str, str, str] | None:
     """Some triple of mutually adjacent vertices, or None if none exists."""
-    verts = g.vertices
-    for i, u in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            v = verts[j]
-            if not g.has_edge(u, v):
-                continue
-            common = g.adjacency[u] & g.adjacency[v]
-            for w in verts[j + 1:]:
-                if w in common:
-                    return (u, v, w)
+    masks, index = g.adjacency_masks(), g._index
+    for u, v in g._pairs:
+        j = index[v]
+        common = (masks[index[u]] & masks[j]) >> j + 1  # common neighbours after v
+        if common:
+            return (u, v, g.vertices[j + (common & -common).bit_length()])
     return None
 
 

@@ -265,6 +265,50 @@ class TestAuthCommands:
         rate = float(out.strip().split()[-1])
         assert 0.35 <= rate <= 0.65
 
+    def test_verifier_rounds_reject_truncated_transcript(self, capsys, tmp_path):
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        public = str(key_dir / "public_key.txt")
+        run(capsys, "auth", "keygen", "--scheme", "hom", "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", public,
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "4",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        assert run(capsys, "auth", "verify", "--public", public, "--dir", str(run_dir),
+                   "--rounds", "4")[0] == 0
+        transcript = run_dir / "transcript.txt"
+        lines = transcript.read_text().splitlines()
+        transcript.write_text(f"{lines[0]}\naccept true\n")
+        code, out, _ = run(capsys, "auth", "verify", "--public", public, "--dir", str(run_dir),
+                           "--rounds", "4")
+        assert code == 1
+        assert "transcript has 1 rounds, verifier requires 4" in out
+        assert "accept true" not in out
+
+    @pytest.mark.parametrize("scheme,strategy,rounds,expect", [
+        ("sub", "honest", "3", "all"),
+        ("sub", "cheat-guess-0", "20", "none"),
+        ("hom", "cheat-random", "1", None),
+    ])
+    def test_simulate_reports_count_and_wilson_interval(self, capsys, scheme, strategy,
+                                                        rounds, expect):
+        trials = 60
+        code, out, _ = run(capsys, "auth", "simulate", "--scheme", scheme, "--strategy",
+                           strategy, "--rounds", rounds, "--trials", str(trials), "--seed", "4")
+        assert code == 0
+        fields = out.split()
+        accepted = int(fields[fields.index("accepted") + 1])
+        at = fields.index("wilson95")
+        low, high = float(fields[at + 1]), float(fields[at + 2])
+        rate = float(fields[-1])
+        assert fields[-2] == "acceptance" and rate == pytest.approx(accepted / trials)
+        assert 0.0 <= low <= rate <= high <= 1.0 and low < high
+        if expect == "all":
+            assert accepted == trials and high == 1.0 and low > 0.9
+        elif expect == "none":
+            assert accepted == 0 and low == 0.0 and high < 0.1
+        else:
+            assert 0 < accepted < trials and low > 0.0 and high < 1.0
+
     def test_simulate_requires_seed(self, capsys):
         assert run(capsys, "auth", "simulate", "--scheme", "sub", "--strategy", "honest",
                    "--rounds", "1", "--trials", "10")[0] == 2

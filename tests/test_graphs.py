@@ -7,6 +7,7 @@ from conftest import (
     brute_force_induced_isomorphism_exists,
     brute_force_three_colorable,
 )
+from raagcrypt import auth
 from raagcrypt.graphs import (
     GraphError,
     SearchBudgetExceeded,
@@ -352,3 +353,96 @@ class TestTextFormats:
             parse_vertex_map("map c0 t0\nmap c0 t1\nmap c1 t1\nmap c2 t2\n", g, t)
         with pytest.raises(GraphError):
             parse_vertex_map("map c0 t0 extra\n", g, t)
+
+
+def _reference_case(rng: random.Random):
+    """Random graph data as plain sets: 0-40 vertices, density 0.1-0.9,
+    declared in shuffled label order, edges listed in random order and
+    orientation."""
+    n = rng.randint(0, 40)
+    p = rng.uniform(0.1, 0.9)
+    vertices = [f"x{k}" for k in range(n)]
+    rng.shuffle(vertices)
+    edges = {frozenset((vertices[i], vertices[j]))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    listed = [tuple(e) if rng.random() < 0.5 else tuple(e)[::-1] for e in edges]
+    rng.shuffle(listed)
+    return tuple(vertices), edges, listed
+
+
+class TestMaskCore:
+    """The int bitmasks are the only edge store; every other view is derived."""
+
+    def test_views_match_plain_set_reference(self):
+        rng = random.Random(606)
+        for _ in range(300):
+            vertices, edges, listed = _reference_case(rng)
+            g = SimplicialGraph(vertices, listed)
+            index = {v: i for i, v in enumerate(vertices)}
+            adjacency = {v: frozenset(u for u in vertices if frozenset((u, v)) in edges)
+                         for v in vertices}
+            assert g.edges == frozenset(edges)
+            assert g.adjacency == adjacency
+            assert g.nonneighbors() == tuple(
+                tuple(j for j, u in enumerate(vertices) if u != v and u not in adjacency[v])
+                for v in vertices)
+            assert g.adjacency_masks() == tuple(sum(1 << index[u] for u in adjacency[v])
+                                                for v in vertices)
+            assert g.edge_list() == sorted((tuple(sorted(e, key=index.__getitem__)) for e in edges),
+                                           key=lambda e: (index[e[0]], index[e[1]]))
+            for u in vertices[:5]:
+                for v in vertices[:5]:
+                    assert g.has_edge(u, v) == (frozenset((u, v)) in edges)
+                assert not g.has_edge(u, "unknown") and not g.has_edge("unknown", u)
+            same = SimplicialGraph(vertices, reversed(listed))
+            assert g == same and hash(g) == hash(same)
+            if len(vertices) >= 2:
+                u, v = vertices[0], vertices[1]
+                toggled = edges ^ {frozenset((u, v))}
+                assert g != SimplicialGraph(vertices, [tuple(e) for e in toggled])
+                assert g != SimplicialGraph(vertices[::-1], listed)
+
+    def test_edge_list_is_a_fresh_list(self):
+        g = cycle(5)
+        first = g.edge_list()
+        first.append(("c0", "c2"))
+        first.reverse()
+        assert g.edge_list() == [("c0", "c1"), ("c0", "c4"), ("c1", "c2"), ("c2", "c3"),
+                                 ("c3", "c4")]
+        assert len(g.edges) == 5 and not g.has_edge("c0", "c2")
+
+    def test_trusted_builds_equal_validated_builds(self):
+        rng = random.Random(11)
+        built = []
+        for seed in range(6):
+            hom = auth.hom_keygen(3 + seed, 3 + 2 * seed, seed)
+            sub = auth.sub_keygen(8 + 3 * seed, 2 + seed, seed)
+            built += [hom.g1, hom.g2, sub.ambient, random_graph(seed * 7, 0.4, seed),
+                      auth.hom_commit(hom.g1, 2 + seed, seed)[0],
+                      auth._pullback_graph(hom.g2, auth._random_images(hom.g2, 9, rng), "c",
+                                           rng, keep_prob=0.5)[0],
+                      auth.sub_commit(sub.ambient, sub.s1, seed)[0],
+                      auth._relabel_induced(sub.ambient, sub.s2, rng)[0],
+                      induced_subgraph(sub.ambient, rng.sample(sub.ambient.vertices, 5))]
+        for g in built:
+            assert g == SimplicialGraph(g.vertices, g.edge_list())
+
+    @pytest.mark.parametrize("vertices,masks,needle", [
+        (("a", "b"), (0b10, 0b00), "asymmetric"),
+        (("a", "b"), (0b01, 0b00), "loop"),
+        (("a", "b"), (0b100, 0b00), "bit >= 2"),
+        (("a", "b"), (-1, 0b00), "bit >= 2"),
+        (("a", "a"), (0, 0), "duplicate vertex"),
+        (("a", "b c"), (0, 0), "whitespace"),
+        (("a#", "b"), (0, 0), "forbidden character"),
+        (("a", ""), (0, 0), "empty"),
+        (("a", 7), (0, 0), "non-string"),
+        (("a", "b"), (0,), "masks for 2 vertices"),
+    ])
+    def test_trusted_structural_check(self, vertices, masks, needle):
+        with pytest.raises(GraphError, match=needle):
+            SimplicialGraph._trusted(vertices, masks)
+
+    def test_trusted_accepts_valid_masks(self):
+        g = SimplicialGraph._trusted(("a", "b", "c"), (0b110, 0b001, 0b001))
+        assert g == SimplicialGraph(("a", "b", "c"), [("a", "b"), ("a", "c")])
