@@ -36,6 +36,7 @@ from .graphs import (
     SimplicialGraph,
     VertexMap,
     VertexSubset,
+    _directives,
     _keep_edges,
     format_graph,
     format_map_lines,
@@ -442,29 +443,28 @@ def format_public_key(key: HomKeyPair | SubKeyPair) -> str:
 
 def parse_public_key(text: str):
     """Returns ('hom', g1, g2) or ('sub', ambient, s1, s2)."""
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["scheme", "hom"] and lines[0].split() != ["scheme", "sub"]:
+    head = (text.splitlines() or [""])[0].split()
+    if head not in (["scheme", "hom"], ["scheme", "sub"]):
         raise AuthError("expected 'scheme hom' or 'scheme sub' on the first line")
-    scheme = lines[0].split()[1]
+    scheme = head[1]
     sections: dict[str, list[str]] = {}
     subsets: dict[str, list[str]] = {}
     current: list[str] | None = None
-    for raw in lines[1:]:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, fields in _directives(text):
+        if lineno == 1:
             continue
-        fields = line.split()
+        line = " ".join(fields)
         if fields[0] == "graph":
             if len(fields) != 2 or fields[1] in sections:
-                raise AuthError(f"bad graph section header {raw!r}")
+                raise AuthError(f"bad graph section header {line!r}")
             current = sections.setdefault(fields[1], [])
         elif fields[0] == "subset":
             if len(fields) < 2 or fields[1] in subsets:
-                raise AuthError(f"bad subset line {raw!r}")
+                raise AuthError(f"bad subset line {line!r}")
             subsets[fields[1]] = fields[2:]
         else:
             if current is None:
-                raise AuthError(f"content outside any graph section: {raw!r}")
+                raise AuthError(f"content outside any graph section: {line!r}")
             current.append(line)
     try:
         graphs = {name: parse_graph("\n".join(body)) for name, body in sections.items()}
@@ -515,27 +515,25 @@ def format_transcript(t: Transcript) -> str:
 
 
 def parse_transcript(text: str) -> tuple[list[tuple[int, int, bool]], bool]:
-    """Returns ([(round, challenge, verdict)], overall accept); rounds run 1..r, r >= 1."""
+    """Returns ([(round, challenge, verdict)], overall accept); rounds run 1..r,
+    r >= 1, and each challenge is 0 or 1."""
     rounds: list[tuple[int, int, bool]] = []
     accept: bool | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for _, fields in _directives(text):
+        line = " ".join(fields)
         if fields[0] == "round":
-            if (len(fields) != 6 or fields[2] != "challenge" or fields[4] != "verdict"
-                    or fields[5] not in ("accept", "reject")):
-                raise AuthError(f"bad round line {raw!r}")
+            if (len(fields) != 6 or fields[2] != "challenge" or fields[3] not in ("0", "1")
+                    or fields[4] != "verdict" or fields[5] not in ("accept", "reject")):
+                raise AuthError(f"bad round line {line!r}")
             if fields[1] != str(len(rounds) + 1):
-                raise AuthError(f"expected round {len(rounds) + 1}, got {raw!r}")
+                raise AuthError(f"expected round {len(rounds) + 1}, got {line!r}")
             rounds.append((int(fields[1]), int(fields[3]), fields[5] == "accept"))
         elif fields[0] == "accept":
             if len(fields) != 2 or fields[1] not in ("true", "false"):
-                raise AuthError(f"bad accept line {raw!r}")
+                raise AuthError(f"bad accept line {line!r}")
             accept = fields[1] == "true"
         else:
-            raise AuthError(f"unknown transcript line {raw!r}")
+            raise AuthError(f"unknown transcript line {line!r}")
     if accept is None:
         raise AuthError("transcript missing final accept line")
     if not rounds:

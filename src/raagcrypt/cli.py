@@ -22,6 +22,7 @@ from pathlib import Path
 from . import auth, bench, sharing
 from .graphs import (
     GraphError,
+    _directives,
     format_graph,
     format_map_lines,
     parse_graph,
@@ -104,9 +105,7 @@ def cmd_word_sample(args) -> int:
 
 
 def _parse_bits(text: str) -> sharing.BitColumn:
-    if not text or any(ch not in "01" for ch in text):
-        raise sharing.SharingError(f"secret must be a nonempty bit string, got {text!r}")
-    return tuple(int(ch) for ch in text)
+    return sharing.bit_column({"0": 0, "1": 1}.get(ch) for ch in text)
 
 
 def _write_shares(out_dir: str, shares) -> None:
@@ -154,16 +153,12 @@ def cmd_decode_share(args) -> int:
 
 def _parse_decoded(path: str) -> dict[str, str]:
     fields: dict[str, str] = {}
-    for raw in _read(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if not value:
-            raise sharing.SharingError(f"{path}: cannot parse line {raw!r}")
+    for lineno, (key, *value) in _directives(_read(path)):
+        if len(value) != 1:
+            raise sharing.SharingError(f"{path}: line {lineno}: expected '<key> <value>'")
         if key in fields:
             raise sharing.SharingError(f"{path}: repeated '{key}' line")
-        fields[key] = value
+        fields[key] = value[0]
     required = ["scheme", "bits"]
     if fields.get("scheme") == "tn":
         required += ["participant", "p", "t"]
@@ -403,15 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct_tn)
 
     p = sub.add_parser("auth", help="authentication schemes")
+    key_sizes = (("--g1-size", 8), ("--g2-size", 8), ("--ambient-size", 16), ("--subgroup-size", 7))
     asub = p.add_subparsers(dest="auth_command", required=True)
     a = asub.add_parser("keygen", help="generate a planted key pair")
     a.add_argument("--scheme", choices=("hom", "sub"), required=True)
     a.add_argument("--seed", type=int, required=True)
     a.add_argument("--out-dir", required=True)
-    a.add_argument("--g1-size", type=int, default=8)
-    a.add_argument("--g2-size", type=int, default=8)
-    a.add_argument("--ambient-size", type=int, default=16)
-    a.add_argument("--subgroup-size", type=int, default=7)
+    for flag, default in key_sizes:
+        a.add_argument(flag, type=int, default=default)
     a.set_defaults(func=cmd_auth_keygen)
     a = asub.add_parser("prove", help="run the honest prover, writing round files")
     a.add_argument("--public", required=True)
@@ -434,10 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--rounds", type=int, required=True)
     a.add_argument("--trials", type=int, required=True)
     a.add_argument("--seed", type=int, required=True)
-    a.add_argument("--g1-size", type=int, default=8)
-    a.add_argument("--g2-size", type=int, default=8)
-    a.add_argument("--ambient-size", type=int, default=16)
-    a.add_argument("--subgroup-size", type=int, default=7)
+    for flag, default in key_sizes:
+        a.add_argument(flag, type=int, default=default)
     a.set_defaults(func=cmd_auth_simulate)
 
     p = sub.add_parser("bench", help="benchmarks")

@@ -17,7 +17,7 @@ columns; any t decoded shares recover x by Lagrange interpolation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .graphs import GraphError, SimplicialGraph, random_graph
@@ -153,6 +153,14 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _check_modulus_and_threshold(p: int, t: int) -> None:
+    """The rules the dealer and the reconstruction share: p prime, t >= 2."""
+    if not is_prime(p):
+        raise SharingError(f"{p} is not prime")
+    if t < 2:
+        raise SharingError("threshold must be at least 2")
+
+
 @dataclass(frozen=True)
 class ShamirSetup:
     """Dealer-side record of one (t,n) split."""
@@ -165,10 +173,9 @@ class ShamirSetup:
     coefficients: tuple[int, ...]  # a_0 = secret, degree <= t-1
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise SharingError(f"{self.p} is not prime")
-        if not 2 <= self.t <= self.n:
-            raise SharingError("threshold must satisfy 2 <= t <= n")
+        _check_modulus_and_threshold(self.p, self.t)
+        if self.t > self.n:
+            raise SharingError("threshold must not exceed n")
         if not 0 <= self.secret < self.p:
             raise SharingError("secret must lie in Z_p")
         if (1 << self.k) < self.p:
@@ -185,35 +192,21 @@ class ShamirSetup:
         return acc
 
 
-def _bits_for(p: int) -> int:
-    k = 1
-    while (1 << k) < p:
-        k += 1
-    return k
-
-
 def shamir_split(x: int, p: int, t: int, n: int, seed: int,
                  k: int | None = None) -> tuple[ShamirSetup, list[tuple[int, int]]]:
     """Random degree t-1 polynomial with f(0) = x; points (i, f(i) mod p).
 
     Evaluation points are i = 1..n, so n < p is required to keep them
-    distinct and nonzero mod p.
+    distinct and nonzero mod p. ``k`` defaults to the fewest bits that hold
+    every residue. ``ShamirSetup`` checks the other rules before any draw.
     """
-    if not is_prime(p):
-        raise SharingError(f"{p} is not prime")
-    if not 2 <= t <= n:
-        raise SharingError("threshold must satisfy 2 <= t <= n")
     if n >= p:
         raise SharingError("need n < p for distinct nonzero evaluation points")
-    if not 0 <= x < p:
-        raise SharingError("secret must lie in Z_p")
     if k is None:
-        k = _bits_for(p)
-    elif (1 << k) < p:
-        raise SharingError(f"k={k} too small: need 2^k >= p")
+        k = (p - 1).bit_length()
+    setup = ShamirSetup(p=p, t=t, n=n, k=k, secret=x, coefficients=(x,))
     rng = random.Random(seed)
-    coefficients = (x,) + tuple(rng.randrange(p) for _ in range(t - 1))
-    setup = ShamirSetup(p=p, t=t, n=n, k=k, secret=x, coefficients=coefficients)
+    setup = replace(setup, coefficients=(x,) + tuple(rng.randrange(p) for _ in range(t - 1)))
     points = [(i, setup.evaluate(i)) for i in range(1, n + 1)]
     return setup, points
 
@@ -222,8 +215,9 @@ def lagrange_reconstruct(points: Sequence[tuple[int, int]], p: int, t: int) -> i
     """Interpolate f(0) from at least t points (i, y_i) over Z_p.
 
     When more than t points are given, the t with the lowest indices are
-    used; indices must be distinct and nonzero mod p.
+    used; indices must be distinct and nonzero mod p, and values in Z_p.
     """
+    _check_modulus_and_threshold(p, t)
     if len(points) < t:
         raise SharingError(f"need at least {t} points, got {len(points)}")
     chosen = sorted(points)[:t]
@@ -232,6 +226,8 @@ def lagrange_reconstruct(points: Sequence[tuple[int, int]], p: int, t: int) -> i
         raise SharingError("duplicate evaluation indices")
     if any(i % p == 0 for i in indices):
         raise SharingError("evaluation index divisible by p")
+    if any(not 0 <= y < p for _, y in chosen):
+        raise SharingError(f"share value outside Z_{p}")
     acc = 0
     for i, y in chosen:
         num, den = 1, 1
@@ -293,6 +289,9 @@ class ShareNN:
     graph: SimplicialGraph  # secret
     words: WordColumn  # public
 
+    scheme = "nn"
+    header = ("participant", "k")  # share-file lines after the scheme line
+
 
 @dataclass(frozen=True)
 class ShareTN:
@@ -301,6 +300,9 @@ class ShareTN:
     words: WordColumn  # public
     p: int
     t: int
+
+    scheme = "tn"
+    header = ("participant", "k", "p", "t")
 
 
 def random_participant_graphs(n: int, num_generators: int, edge_prob: float,
@@ -371,63 +373,45 @@ def decode_share_tn(share: ShareTN) -> tuple[int, int]:
 # share files
 #
 #   scheme nn|tn
-#   participant <j>
-#   k <int>
-#   p <int>        (tn only)
-#   t <int>        (tn only)
+#   <key> <int>    one line per key of the share class's header, in order
 #   <word per line, k lines; a blank line is the empty word>
 
 
 def format_share(share: ShareNN | ShareTN) -> str:
-    lines = []
-    if isinstance(share, ShareTN):
-        lines.append("scheme tn")
-        lines.append(f"participant {share.participant}")
-        lines.append(f"k {len(share.words)}")
-        lines.append(f"p {share.p}")
-        lines.append(f"t {share.t}")
-    else:
-        lines.append("scheme nn")
-        lines.append(f"participant {share.participant}")
-        lines.append(f"k {len(share.words)}")
+    values = dict(vars(share), k=len(share.words))
+    lines = [f"scheme {share.scheme}"] + [f"{key} {values[key]}" for key in share.header]
     lines.extend(format_word(w) for w in share.words)
     return "\n".join(lines) + "\n"
 
 
-def _parse_header_int(line: str, key: str) -> int:
-    fields = line.split()
-    if len(fields) != 2 or fields[0] != key:
-        raise SharingError(f"expected '{key} <int>', got {line!r}")
-    try:
-        return int(fields[1])
-    except ValueError:
-        raise SharingError(f"expected '{key} <int>', got {line!r}") from None
-
-
 def parse_share(text: str, graph: SimplicialGraph) -> ShareNN | ShareTN:
-    """Parse a share file; needs the holder's secret graph to complete it."""
+    """Parse a share file; needs the holder's secret graph to complete it.
+
+    Every header value is a positive integer; p and t are checked against
+    the Shamir rules where the shares are combined.
+    """
     lines = text.splitlines()
     if not lines:
         raise SharingError("empty share file")
-    head = lines[0].split()
-    if head[:1] != ["scheme"] or len(head) != 2 or head[1] not in ("nn", "tn"):
+    classes = {f"scheme {c.scheme}": c for c in (ShareNN, ShareTN)}
+    share_class = classes.get(" ".join(lines[0].split()))
+    if share_class is None:
         raise SharingError(f"expected 'scheme nn|tn', got {lines[0]!r}")
-    scheme = head[1]
-    header_len = 3 if scheme == "nn" else 5
-    if len(lines) < header_len:
+    keys = share_class.header
+    if len(lines) <= len(keys):
         raise SharingError("truncated share header")
-    participant = _parse_header_int(lines[1], "participant")
-    k = _parse_header_int(lines[2], "k")
-    if scheme == "tn":
-        p = _parse_header_int(lines[3], "p")
-        t = _parse_header_int(lines[4], "t")
-    body = lines[header_len:]
+    values = {}
+    for key, line in zip(keys, lines[1:]):
+        fields = line.split()
+        if len(fields) != 2 or fields[0] != key or not fields[1].isdecimal() or int(fields[1]) < 1:
+            raise SharingError(f"expected '{key} <positive int>', got {line!r}")
+        values[key] = int(fields[1])
+    k = values.pop("k")
+    body = lines[len(keys) + 1:]
     if len(body) < k:
         raise SharingError(f"expected {k} word lines, got {len(body)}")
     extra = [l for l in body[k:] if l.strip()]
     if extra:
         raise SharingError(f"unexpected trailing content {extra[0]!r}")
     words = tuple(parse_word(l) for l in body[:k])
-    if scheme == "nn":
-        return ShareNN(participant=participant, graph=graph, words=words)
-    return ShareTN(participant=participant, graph=graph, words=words, p=p, t=t)
+    return share_class(graph=graph, words=words, **values)

@@ -465,6 +465,13 @@ class TestKeyFiles:
         with pytest.raises(AuthError, match="no rounds"):
             parse_transcript("accept true\n")
 
+    def test_transcript_challenge_is_a_bit(self):
+        for challenge in ("x", "7", "-1", "01"):
+            with pytest.raises(AuthError, match="bad round line"):
+                parse_transcript(f"round 1 challenge {challenge} verdict accept\naccept true\n")
+        rounds, _ = parse_transcript("round 1 challenge 1 verdict reject\naccept false\n")
+        assert rounds == [(1, 1, False)]
+
     def test_transcript_errors(self):
         with pytest.raises(AuthError):
             parse_transcript("round 1 challenge 0 verdict accept\n")  # no accept line

@@ -184,6 +184,33 @@ class TestSharingCommands:
         code, out, err = run(capsys, "reconstruct-nn", str(repeated), str(other))
         assert code == 2 and out == "" and "repeated 'bits' line" in err
 
+    @pytest.mark.parametrize("header, words", [("participant 1\nk 0\n", ""),
+                                               ("participant 1\nk -1\n", ""),
+                                               ("participant -3\nk 1\n", "a\n"),
+                                               ("participant 0\nk 1\n", "a\n")])
+    def test_decode_rejects_share_header_below_one(self, capsys, tmp_path, edge_graph,
+                                                   header, words):
+        share = tmp_path / "share.txt"
+        share.write_text("scheme nn\n" + header + words)
+        code, out, err = run(capsys, "decode-share", "--share", str(share),
+                             "--graph", edge_graph)
+        assert code == 2 and out == "" and "<positive int>" in err
+
+    @pytest.mark.parametrize("decoded, message", [
+        (["scheme tn\nparticipant 1\nbits 0001\np 12\nt 2\n",
+          "scheme tn\nparticipant 2\nbits 0010\np 12\nt 2\n"], "12 is not prime"),
+        (["scheme tn\nparticipant 1\nbits 0101\np 11\nt 1\n"], "threshold must be at least 2"),
+        (["scheme tn\nparticipant 1\nbits 1111\np 11\nt 2\n",
+          "scheme tn\nparticipant 2\nbits 0011\np 11\nt 2\n"], "outside Z_11"),
+    ])
+    def test_reconstruct_tn_applies_shamir_rules(self, capsys, tmp_path, decoded, message):
+        paths = []
+        for j, text in enumerate(decoded):
+            paths.append(tmp_path / f"dec{j}.txt")
+            paths[-1].write_text(text)
+        code, out, err = run(capsys, "reconstruct-tn", *map(str, paths))
+        assert code == 2 and out == "" and message in err
+
     def test_tn_composite_prime_rejected(self, capsys, tmp_path):
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "10", "--threshold", "2",
                    "--participants", "3", "--generators", "3", "--seed", "1",

@@ -216,6 +216,15 @@ class TestShamir:
         with pytest.raises(SharingError):
             lagrange_reconstruct([(1, 5), (1, 5)], 7, 2)
 
+    def test_reconstruct_applies_setup_rules(self):
+        with pytest.raises(SharingError, match="not prime"):
+            lagrange_reconstruct([(1, 1), (2, 2)], 12, 2)
+        with pytest.raises(SharingError, match="at least 2"):
+            lagrange_reconstruct([(1, 5)], 7, 1)
+        for y in (7, -1):
+            with pytest.raises(SharingError, match="outside Z_7"):
+                lagrange_reconstruct([(1, 5), (2, y)], 7, 2)
+
     def test_single_share_secrecy_by_enumeration(self):
         # with t=2, one share (i, y) is consistent with every candidate
         # secret for exactly one coefficient choice
@@ -358,3 +367,12 @@ class TestShareFiles:
             parse_share("scheme nn\nparticipant x\nk 1\na\n", g)
         with pytest.raises(SharingError):
             parse_share("scheme tn\nparticipant 1\nk 1\na\n", g)  # missing p, t
+
+    def test_header_values_are_positive(self):
+        g = SimplicialGraph(("a",))
+        for header in ("participant 1\nk 0\n", "participant 0\nk 1\n", "participant -3\nk 1\n",
+                       "participant 1\nk +1\n"):
+            with pytest.raises(SharingError, match="positive int"):
+                parse_share("scheme nn\n" + header + "a\n", g)
+        with pytest.raises(SharingError, match="'p <positive int>'"):
+            parse_share("scheme tn\nparticipant 1\nk 1\np 0\nt 2\na\n", g)

@@ -339,6 +339,15 @@ class TestSamplers:
             w = sample_nontrivial_word(g, 9, seed)
             assert exponent_sums(w)["a"] % 2 == 1
 
+    def test_nontrivial_word_has_exactly_one_nonzero_exponent_sum(self):
+        # why the sampler needs no triviality check: a trivial word times one
+        # letter x^+-1 sums to +-1 at x and to 0 at every other generator
+        rng = random.Random(23)
+        for _ in range(300):
+            g = random_graph(rng.randint(2, 12), rng.random(), rng.getrandbits(32))
+            w = sample_nontrivial_word(Raag(g), rng.randint(1, 64), rng.getrandbits(32))
+            assert [s for s in exponent_sums(w).values() if s] in ([1], [-1])
+
     def test_edgeless_graph_still_samples_trivial_words(self):
         g = Raag(SimplicialGraph(("a", "b", "c")))
         w = sample_trivial_word(g, 12, 5)
