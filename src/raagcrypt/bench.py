@@ -52,7 +52,8 @@ def run_word_benchmark(graph: SimplicialGraph, lengths: Sequence[int],
 
     One warm-up run precedes the timed repetitions at each length. The
     timed calls are ``is_trivial`` as shipped, with its abelianization
-    re-check whenever ``raag.PARITY_ASSERTS`` is on.
+    re-check only where ``raag.PARITY_ASSERTS`` is turned on (the test
+    suite does; the package does not).
     """
     lengths = list(lengths)
     if len(lengths) < 3:

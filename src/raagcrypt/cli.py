@@ -151,31 +151,38 @@ def cmd_decode_share(args) -> int:
     return EXIT_OK
 
 
-def _parse_decoded(path: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for lineno, (key, *value) in _directives(_read(path)):
-        if len(value) != 1:
-            raise sharing.SharingError(f"{path}: line {lineno}: expected '<key> <value>'")
-        if key in fields:
-            raise sharing.SharingError(f"{path}: repeated '{key}' line")
-        fields[key] = value[0]
-    required = ["scheme", "bits"]
-    if fields.get("scheme") == "tn":
-        required += ["participant", "p", "t"]
-    for key in required:
-        if key not in fields:
-            raise sharing.SharingError(f"{path}: missing '{key}' line")
-    return fields
+def _parse_decoded(path: str, scheme: str) -> tuple[sharing.BitColumn, dict[str, int]]:
+    """A decoded share's bits and, for ``tn``, its ``participant``, ``p`` and ``t``
+    values, each a positive integer; a ``value`` line must equal the bits. Errors
+    name the file."""
+    try:
+        fields: dict[str, str] = {}
+        for lineno, (key, *value) in _directives(_read(path)):
+            if len(value) != 1:
+                raise sharing.SharingError(f"line {lineno}: expected '<key> <value>'")
+            if key in fields:
+                raise sharing.SharingError(f"repeated '{key}' line")
+            fields[key] = value[0]
+        if fields.get("scheme", scheme) != scheme:
+            raise sharing.SharingError(f"expected 'scheme {scheme}', "
+                                       f"got 'scheme {fields['scheme']}'")
+        header = ("participant", "p", "t") if scheme == "tn" else ()
+        for key in ("scheme", "bits") + header:
+            if key not in fields:
+                raise sharing.SharingError(f"missing '{key}' line")
+        bits = _parse_bits(fields["bits"])
+        values = {key: sharing.positive_int(key, fields[key]) for key in header}
+        value = fields.get("value")
+        if value is not None and (not value.isdecimal()
+                                  or int(value) != sharing.bits_to_int(bits)):
+            raise sharing.SharingError(f"'value {value}' disagrees with 'bits {fields['bits']}'")
+    except sharing.SharingError as e:
+        raise sharing.SharingError(f"{path}: {e}") from None
+    return bits, values
 
 
 def cmd_reconstruct_nn(args) -> int:
-    columns = []
-    for path in args.files:
-        fields = _parse_decoded(path)
-        if fields["scheme"] != "nn":
-            raise sharing.SharingError(f"{path}: not an nn share")
-        columns.append(_parse_bits(fields["bits"]))
-    secret = sharing.reconstruct_nn(columns)
+    secret = sharing.reconstruct_nn([_parse_decoded(path, "nn")[0] for path in args.files])
     text = "".join(map(str, secret))
     print(text)
     if args.expect is not None and text != args.expect:
@@ -188,14 +195,12 @@ def cmd_reconstruct_tn(args) -> int:
     points = []
     p = t = None
     for path in args.files:
-        fields = _parse_decoded(path)
-        if fields["scheme"] != "tn":
-            raise sharing.SharingError(f"{path}: not a tn share")
+        bits, values = _parse_decoded(path, "tn")
         if p is None:
-            p, t = int(fields["p"]), int(fields["t"])
-        elif (int(fields["p"]), int(fields["t"])) != (p, t):
+            p, t = values["p"], values["t"]
+        elif (values["p"], values["t"]) != (p, t):
             raise sharing.SharingError(f"{path}: inconsistent p or t across shares")
-        points.append((int(fields["participant"]), sharing.bits_to_int(_parse_bits(fields["bits"]))))
+        points.append((values["participant"], sharing.bits_to_int(bits)))
     secret = sharing.lagrange_reconstruct(points, p, t)
     print(secret)
     if args.expect is not None and secret != args.expect:

@@ -196,10 +196,15 @@ class SimplicialGraph:
         return list(self._pairs)
 
     @cached_property
+    def _nbar_masks(self) -> tuple[int, ...]:
+        """Per-vertex bitmasks of the distinct non-adjacent vertices."""
+        everyone = (1 << len(self.vertices)) - 1
+        return tuple(everyone & ~m & ~(1 << i) for i, m in enumerate(self._masks))
+
+    @cached_property
     def _nbar(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.vertices)
-        return tuple(tuple(j for j in range(n) if j != i and not m >> j & 1)
-                     for i, m in enumerate(self._masks))
+        return tuple(tuple(j for j in range(n) if m >> j & 1) for m in self._nbar_masks)
 
     def nonneighbors(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex tuples of indices of distinct non-adjacent vertices."""

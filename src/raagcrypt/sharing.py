@@ -53,6 +53,7 @@ __all__ = [
     "decode_share_tn",
     "format_share",
     "parse_share",
+    "positive_int",
 ]
 
 DEFAULT_WORD_LENGTH = 16
@@ -384,6 +385,14 @@ def format_share(share: ShareNN | ShareTN) -> str:
     return "\n".join(lines) + "\n"
 
 
+def positive_int(key: str, value: str) -> int:
+    """The value of a share or decoded-share header line ``<key> <value>``: a
+    positive decimal integer, else SharingError."""
+    if not value.isdecimal() or int(value) < 1:
+        raise SharingError(f"expected '{key} <positive int>', got '{key} {value}'")
+    return int(value)
+
+
 def parse_share(text: str, graph: SimplicialGraph) -> ShareNN | ShareTN:
     """Parse a share file; needs the holder's secret graph to complete it.
 
@@ -403,9 +412,9 @@ def parse_share(text: str, graph: SimplicialGraph) -> ShareNN | ShareTN:
     values = {}
     for key, line in zip(keys, lines[1:]):
         fields = line.split()
-        if len(fields) != 2 or fields[0] != key or not fields[1].isdecimal() or int(fields[1]) < 1:
+        if len(fields) != 2 or fields[0] != key:
             raise SharingError(f"expected '{key} <positive int>', got {line!r}")
-        values[key] = int(fields[1])
+        values[key] = positive_int(key, fields[1])
     k = values.pop("k")
     body = lines[len(keys) + 1:]
     if len(body) < k:

@@ -9,8 +9,20 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
+from raagcrypt import raag
 from raagcrypt.graphs import SimplicialGraph
 from raagcrypt.words import Word, free_reduce
+
+
+@pytest.fixture(scope="session", autouse=True)
+def parity_rechecks():
+    """Re-check every trivial verdict of ``is_trivial`` in the session
+    against the abelianization (``raag.PARITY_ASSERTS``)."""
+    raag.PARITY_ASSERTS = True
+    yield
+    raag.PARITY_ASSERTS = False
 
 
 def brute_force_three_colorable(g: SimplicialGraph) -> bool:

@@ -211,6 +211,24 @@ class TestSharingCommands:
         code, out, err = run(capsys, "reconstruct-tn", *map(str, paths))
         assert code == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("second, message", [
+        ("scheme tn\nparticipant 2\nbits 0101\np 11\nt 2\nvalue 9\n",
+         "'value 9' disagrees with 'bits 0101'"),
+        ("scheme tn\nparticipant 2\nbits 0101\np 11\nt 2\nvalue five\n",
+         "'value five' disagrees with 'bits 0101'"),
+        ("scheme tn\nparticipant 2\nbits 0101\np x\nt 2\n", "expected 'p <positive int>'"),
+        ("scheme tn\nparticipant x\nbits 0101\np 11\nt 2\n",
+         "expected 'participant <positive int>'"),
+        ("scheme tn\nparticipant 2\nbits 0101\np 11\nt +2\n", "expected 't <positive int>'"),
+        ("scheme tn\nparticipant 2\nbits 01x1\np 11\nt 2\n", "bit column entries must be 0 or 1"),
+    ])
+    def test_reconstruct_tn_checks_decoded_values(self, capsys, tmp_path, second, message):
+        first, bad = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text("scheme tn\nparticipant 1\nbits 0011\np 11\nt 2\nvalue 3\n")
+        bad.write_text(second)
+        code, out, err = run(capsys, "reconstruct-tn", str(first), str(bad))
+        assert code == 2 and out == "" and f"{bad}: {message}" in err
+
     def test_tn_composite_prime_rejected(self, capsys, tmp_path):
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "10", "--threshold", "2",
                    "--participants", "3", "--generators", "3", "--seed", "1",

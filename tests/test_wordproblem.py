@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +254,67 @@ class TestOracle:
             w = w[r:] + w[:r]
             assert is_trivial(Raag(g), w) == quadratic_is_trivial(g, w) == trivial
             checked += 1
+
+    def test_solver_agrees_with_references_on_long_commuting_runs(self):
+        # blocks x^e R x^-e R^-1, R a run of letters commuting with x that is
+        # longer than |Nbar(x)|: x^-e is settled by reading the non-adjacent
+        # stack tops, and R^-1 then cancels at the end of the reduced word down
+        # to x's cancelled entries; commutators and random letters mix in
+        # cancellations a few letters below the newest
+        rng = random.Random(25)
+        checked = 0
+        while checked < 300:
+            g = random_graph(rng.randint(3, 10), rng.uniform(0.3, 0.9), rng.getrandbits(32))
+            edges, nbar = g.edge_list(), g.nonneighbors()
+            if not edges:
+                continue
+            w = ()
+            while len(w) < 60:
+                kind = rng.random()
+                if kind < 0.5:
+                    x = rng.choice(rng.choice(edges))
+                    adjacent = sorted(g.adjacency[x])
+                    head = ((x, rng.choice((1, -1))),) * rng.randint(1, 3)
+                    run = tuple((rng.choice(adjacent), rng.choice((1, -1)))
+                                for _ in range(len(nbar[g.index_of(x)]) + rng.randint(1, 3)))
+                    w += head + run + invert(head) + invert(run)
+                elif kind < 0.8:
+                    w += conjugated_commutator(rng, g, *rng.sample(rng.choice(edges), 2))
+                else:
+                    w += random_word(rng, g, max_len=3)
+            if rng.random() < 0.5:
+                r = rng.randrange(len(w))
+                w = w[r:] + w[:r]
+            p = empty_piling(g)
+            for l in w:
+                p = push_letter(p, l, g)
+            assert is_trivial(Raag(g), w) == quadratic_is_trivial(g, w) == p.is_empty()
+            checked += 1
+
+    def test_long_commuting_run_stays_linear(self):
+        # a^M c^L a^-M c^-L with a, c adjacent and b adjacent to neither: every
+        # a^-1 has all L c's after its partner, so walking back over them
+        # without the |Nbar(a)| cap would take about M * L = 10^10 steps
+        g = Raag(SimplicialGraph(("a", "b", "c"), [("a", "c")]))
+        m = l = 100_000
+        w = (("a", 1),) * m + (("c", 1),) * l + (("a", -1),) * m + (("c", -1),) * l
+        limit = 20.0
+        alarm = getattr(signal, "SIGALRM", None)
+        if alarm is not None:
+            def timed_out(signum, frame):
+                raise TimeoutError(f"not decided within {limit} s")
+            previous = signal.signal(alarm, timed_out)
+            signal.setitimer(signal.ITIMER_REAL, limit)
+        try:
+            t0 = time.perf_counter()
+            assert is_trivial(g, w)
+            assert not is_trivial(g, w[:m] + (("b", 1),) + w[m:])
+            elapsed = time.perf_counter() - t0
+        finally:
+            if alarm is not None:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(alarm, previous)
+        assert elapsed < limit
 
     def test_agrees_with_structure_oracle_exhaustively(self):
         # every graph shape on <= 3 vertices, every word of length <= 4,
