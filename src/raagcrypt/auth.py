@@ -195,17 +195,17 @@ def hom_keygen(n1: int, n2: int, seed: int,
     return HomKeyPair(g1=g1, g2=g2, alpha=alpha)
 
 
-def hom_commit(key_g1: SimplicialGraph, size: int,
+def hom_commit(target: SimplicialGraph, size: int,
                seed: int) -> tuple[SimplicialGraph, VertexMap]:
-    """Fresh session graph G with a withheld homomorphism beta: G -> g1.
+    """Fresh session graph G with a withheld homomorphism beta: G -> target.
 
-    Needs only the public part of the key; the same construction is what
-    a challenge-0 cheater uses.
+    Builds against any target graph: g1 for an honest prover and a
+    challenge-0 guess, g2 for a challenge-1 guess. Needs only public data.
     """
     if size < 1:
         raise AuthError("commitment size must be at least 1")
     rng = random.Random(seed)
-    return _pullback_graph(key_g1, _random_images(key_g1, size, rng), "c", rng)
+    return _pullback_graph(target, _random_images(target, size, rng), "c", rng)
 
 
 def hom_respond(state: RoundState, key: HomKeyPair) -> VertexMap:
@@ -286,11 +286,12 @@ def _relabel_induced(ambient: SimplicialGraph, subset: VertexSubset,
     return SimplicialGraph._trusted(vertices, ambient._induced_masks(beta.values())), beta
 
 
-def sub_commit(key_ambient: SimplicialGraph, key_s1: VertexSubset,
+def sub_commit(ambient: SimplicialGraph, subset: VertexSubset,
                seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
-    """Fresh relabeling G of the induced subgraph on s1, with the
-    relabeling bijection beta: V(G) -> s1 withheld."""
-    return _relabel_induced(key_ambient, key_s1, random.Random(seed))
+    """Fresh relabeling G of the induced subgraph on any subset (s1 for an
+    honest prover), with the relabeling bijection beta: V(G) -> subset
+    withheld."""
+    return _relabel_induced(ambient, subset, random.Random(seed))
 
 
 def sub_respond(state: RoundState, key: SubKeyPair) -> dict[str, str]:
@@ -361,9 +362,7 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
         size = commit_size if commit_size is not None else len(key.g1.vertices) + 2
 
         def commit(bit: int) -> tuple[SimplicialGraph, VertexMap]:
-            if bit == 0:
-                return hom_commit(key.g1, size, prng.getrandbits(64))
-            return _pullback_graph(key.g2, _random_images(key.g2, size, prng), "c", prng)
+            return hom_commit(targets[bit], size, prng.getrandbits(64))
 
         def junk(commitment: SimplicialGraph, c: int) -> VertexMap:
             images = _random_images(targets[c], len(commitment.vertices), prng)
@@ -376,9 +375,7 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
         subsets = (key.s1, key.s2)
 
         def commit(bit: int) -> tuple[SimplicialGraph, dict[str, str]]:
-            if honest:
-                return sub_commit(key.ambient, key.s1, prng.getrandbits(64))
-            return _relabel_induced(key.ambient, subsets[bit], prng)
+            return sub_commit(key.ambient, subsets[bit], prng.getrandbits(64))
 
         def junk(commitment: SimplicialGraph, c: int) -> dict[str, str]:
             members = list(subsets[c].ordered())

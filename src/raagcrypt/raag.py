@@ -3,17 +3,17 @@
 A RAAG is presented by a simplicial graph: one generator per vertex, one
 commutation relation per edge. The word problem is solved by a piling
 (Crisp, Godelle and Wiest, J. Topology 2 (2009)), run in timestamp form:
-the letters still left in the reduced word are kept oldest first, and
-each vertex's stack holds the positions of its own letters there. A
-letter cancels the top of its stack when that entry has the opposite
-sign and no non-adjacent letter is left after it (nothing non-commuting
-intervened); otherwise it is pushed. Whether such a letter is left is
-found by walking back over the letters newer than the top, or, when
-more than |Nbar(v)| of them are, by reading the non-adjacent stacks'
-tops. A push costs O(1) and a cancel attempt O(1 + |Nbar(v)|), so a
-check is linear in the word length for a fixed graph. ``push_letter`` is
-the pure marker-form reference, where a push also writes a 0 marker onto
-every non-adjacent stack.
+the letters still left in the reduced word are kept oldest first, each
+recording the top of its vertex it covered when pushed. A letter cancels
+its vertex's top when that letter has the opposite sign and no
+non-adjacent letter is left after it (nothing non-commuting intervened),
+and the top it covered becomes the top again; otherwise it is pushed.
+Whether such a letter is left is found by walking back over the letters
+newer than the top, or, when more than |Nbar(v)| of them are, by reading
+the non-adjacent tops. A push costs O(1) and a cancel attempt
+O(1 + |Nbar(v)|), so a check is linear in the word length for a fixed
+graph. ``push_letter`` is the pure marker-form reference, with one stack
+per vertex and a 0 marker written onto every non-adjacent stack.
 
 An independent breadth-first oracle double-checks the solver at small
 scale: a word is trivial iff the empty word is reachable from it using
@@ -151,24 +151,25 @@ def is_trivial(g: Raag, w: Word) -> bool:
     Runs the timestamp piling over the whole word in one pass. ``left``
     holds one entry per letter still left in the reduced word, oldest
     first: the letter's vertex bit, or 0 once a letter below the newest
-    has cancelled. A vertex's top entry is its stack's last position, so
-    the letters newer than it are the tail of ``left``. A cancel attempt
-    for v tests each of those against v's non-neighbour mask; when more
-    than |Nbar(v)| of them are left, cancelled ones included, it reads
-    the |Nbar(v)| non-adjacent stack tops instead. Either way it costs
-    O(1 + |Nbar(v)|), and cancelled entries leave ``left`` when they reach
-    its end, so the pass is linear in ``len(w)`` for a fixed graph.
+    has cancelled. ``covered`` is aligned with it, and a cancel restores
+    v's top from the entry of the letter it removes. The letters newer
+    than v's top are the tail of ``left``. A cancel attempt for v tests
+    each of those against v's non-neighbour mask; when more than
+    |Nbar(v)| of them are left, cancelled ones included, it reads the
+    |Nbar(v)| non-adjacent tops instead. Either way it costs
+    O(1 + |Nbar(v)|), and cancelled entries leave both lists when they
+    reach the end, so the pass is linear in ``len(w)`` for a fixed graph.
     """
     graph = g.graph
     index = graph._index
     nbar = graph.nonneighbors()
     nbar_masks = graph._nbar_masks
-    stacks: list[list[int]] = [[] for _ in graph.vertices]
-    # a stack entry is the length of ``left`` up to and including its
-    # letter, signed with the letter's sign; ``top`` holds each stack's
-    # last entry, or 0 when the stack is empty
-    top = [0] * len(stacks)
+    # ``top[v]`` is the length of ``left`` up to and including v's newest
+    # letter still left, signed with its sign, or 0 when v has none;
+    # ``covered[i]`` is the ``top`` that letter i covered when pushed
+    top = [0] * len(graph.vertices)
     left = [-1]  # a nonzero guard: the popping of cancelled entries stops at it
+    covered = [0]
     for gen, sign in w:
         v = index.get(gen)
         if v is None or (sign != 1 and sign != -1):
@@ -178,12 +179,11 @@ def is_trivial(g: Raag, w: Word) -> bool:
             tv = abs(tv)
             newer = len(left) - tv
             if not newer:
-                st = stacks[v]
-                st.pop()
-                top[v] = st[-1] if st else 0
+                top[v] = covered.pop()
                 left.pop()
                 while not left[-1]:
                     left.pop()
+                    covered.pop()
                 continue
             nb = nbar[v]
             if newer <= len(nb):
@@ -192,9 +192,7 @@ def is_trivial(g: Raag, w: Word) -> bool:
                     if b & mask:
                         break
                 else:
-                    st = stacks[v]
-                    st.pop()
-                    top[v] = st[-1] if st else 0
+                    top[v] = covered[tv - 1]
                     left[tv - 1] = 0
                     continue
             else:
@@ -202,15 +200,12 @@ def is_trivial(g: Raag, w: Word) -> bool:
                     if abs(top[u]) > tv:
                         break
                 else:
-                    st = stacks[v]
-                    st.pop()
-                    top[v] = st[-1] if st else 0
+                    top[v] = covered[tv - 1]
                     left[tv - 1] = 0
                     continue
+        covered.append(top[v])
         left.append(1 << v)
-        tv = sign * len(left)
-        stacks[v].append(tv)
-        top[v] = tv
+        top[v] = sign * len(left)
     verdict = len(left) == 1
     if verdict and PARITY_ASSERTS:
         assert not any(exponent_sums(w).values()), \

@@ -139,23 +139,30 @@ def decode_column(g: Raag, wc: WordColumn) -> BitColumn:
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; the moduli here are desk-scale."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin over the prime bases 2..37, exact below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for a in bases:
+        if p < 2 or p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in bases:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def _check_modulus_and_threshold(p: int, t: int) -> None:
-    """The rules the dealer and the reconstruction share: p prime, t >= 2."""
+    """The rules the dealer and the reconstruction share: p prime < 2^64, t >= 2."""
+    if p >= 1 << 64:
+        raise SharingError(f"{p} is too large: need p < 2^64")
     if not is_prime(p):
         raise SharingError(f"{p} is not prime")
     if t < 2:
@@ -179,7 +186,7 @@ class ShamirSetup:
             raise SharingError("threshold must not exceed n")
         if not 0 <= self.secret < self.p:
             raise SharingError("secret must lie in Z_p")
-        if (1 << self.k) < self.p:
+        if self.k < (self.p - 1).bit_length():
             raise SharingError(f"k={self.k} too small: need 2^k >= p")
         if len(self.coefficients) > self.t:
             raise SharingError("polynomial degree exceeds t-1")

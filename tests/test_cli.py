@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,27 @@ class TestSharingCommands:
         bad.write_text(second)
         code, out, err = run(capsys, "reconstruct-tn", str(first), str(bad))
         assert code == 2 and out == "" and f"{bad}: {message}" in err
+
+    def test_reconstruct_tn_at_a_large_prime(self, capsys, tmp_path):
+        p, secret, slope = 2 ** 61 - 1, 2 ** 61 - 2, 2 ** 60  # f(X) = secret + slope * X
+        paths = []
+        for i in (1, 2):
+            paths.append(tmp_path / f"dec{i}.txt")
+            y = (secret + slope * i) % p
+            paths[-1].write_text(f"scheme tn\nparticipant {i}\nbits {y:061b}\np {p}\nt 2\n")
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "reconstruct-tn", *map(str, paths), "--expect", str(secret))
+        assert code == 0 and out.strip() == str(secret)
+        assert time.perf_counter() - t0 < 5.0
+        too_large = 2 ** 64 + 13
+        for path in paths:
+            path.write_text(path.read_text().replace(f"p {p}", f"p {too_large}"))
+        code, out, err = run(capsys, "reconstruct-tn", *map(str, paths))
+        assert code == 2 and out == "" and "need p < 2^64" in err
+        code, _, err = run(capsys, "deal-tn", "--secret", "5", "--prime", str(too_large),
+                           "--threshold", "2", "--participants", "3", "--generators", "3",
+                           "--seed", "1", "--out-dir", str(tmp_path / "x"))
+        assert code == 2 and "need p < 2^64" in err
 
     def test_tn_composite_prime_rejected(self, capsys, tmp_path):
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "10", "--threshold", "2",

@@ -144,11 +144,20 @@ class TestWordEncoding:
 class TestPrimes:
     def test_small_primes(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        sieve = [False, False] + [True] * (10 ** 5 - 1)  # Eratosthenes up to 10^5
+        for d in range(2, 317):
+            if sieve[d]:
+                sieve[d * d::d] = [False] * len(sieve[d * d::d])
+        assert [p for p in range(10 ** 5 + 1) if is_prime(p)] == \
+            [p for p, prime in enumerate(sieve) if prime]
+        assert is_prime(2 ** 61 - 1)
 
     def test_not_prime(self):
         assert not is_prime(1)
         assert not is_prime(0)
         assert not is_prime(91)  # 7 * 13
+        assert not is_prime(561)  # a Carmichael number
+        assert not is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5 and 7
 
 
 class TestShamir:
@@ -211,6 +220,8 @@ class TestShamir:
             shamir_split(9, 7, 2, 3, 0)  # secret outside Z_p
         with pytest.raises(SharingError):
             shamir_split(1, 7, 2, 3, 0, k=2)  # 2^2 < 7
+        with pytest.raises(SharingError, match="k=-1 too small"):
+            shamir_split(1, 7, 2, 3, 0, k=-1)
         with pytest.raises(SharingError):
             lagrange_reconstruct([(1, 5)], 7, 2)
         with pytest.raises(SharingError):
