@@ -13,9 +13,10 @@ budget: strict graph homomorphism (adjacent vertices must map to
 distinct adjacent vertices) and induced subgraph isomorphism (edges and
 non-edges both preserved). Both run one depth-first search with forward
 checking (Haralick and Elliott, 1980) over bitmask candidate domains.
-One budget node is one attempted assignment. Variables go in
-declaration order and values lowest index first, so results are
-deterministic.
+One budget node is one attempted assignment. Each node assigns the
+variable with the fewest candidates left (ties to the larger degree,
+then declaration order) and tries values lowest index first, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -298,14 +299,16 @@ class VertexMap:
     def __init__(self, source: SimplicialGraph, target: SimplicialGraph,
                  assignment: Mapping[str, str]):
         assignment = dict(assignment)
-        for v in source.vertices:
-            if v not in assignment:
-                raise GraphError(f"assignment missing source vertex {v!r}")
-        for v, img in assignment.items():
-            if not source.has_vertex(v):
-                raise GraphError(f"assignment key {v!r} is not a source vertex")
-            if not target.has_vertex(img):
-                raise GraphError(f"image {img!r} of {v!r} is not a target vertex")
+        if not (assignment.keys() == source._index.keys()
+                and target._index.keys() >= set(assignment.values())):
+            for v in source.vertices:
+                if v not in assignment:
+                    raise GraphError(f"assignment missing source vertex {v!r}")
+            for v, img in assignment.items():
+                if not source.has_vertex(v):
+                    raise GraphError(f"assignment key {v!r} is not a source vertex")
+                if not target.has_vertex(img):
+                    raise GraphError(f"image {img!r} of {v!r} is not a target vertex")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", assignment)
@@ -363,33 +366,36 @@ def verify_graph_homomorphism(f: VertexMap) -> bool:
     return not any(s & ~t for s, t in zip(f.source.adjacency_masks(), pulled))
 
 
-def _forward_check(masks: Sequence[int], domain: int, on: Sequence[int],
+def _forward_check(masks: Sequence[int], domains: Sequence[int], on: Sequence[int],
                    off: Sequence[int], budget: int, problem: str) -> list[int] | None:
     """Depth-first search with forward checking over int bitmask domains.
 
-    Positions are assigned in order 0, 1, ...; every position's domain
-    starts as ``domain``. Assigning candidate ``c`` (a bit index) to
-    position ``i`` intersects the domain of each later position ``j``
-    with ``on[c]`` when bit ``j`` of ``masks[i]`` is set and with
-    ``off[c]`` when it is not, and the branch is pruned as soon as one
-    of those domains is empty. Candidates are taken straight from the
-    domain, lowest bit first, so they never need re-checking against
-    earlier positions. One budget node is one attempted assignment;
-    exceeding ``budget`` raises SearchBudgetExceeded. Returns the
-    candidate of each position, or ``None`` once the space is exhausted.
+    Position ``i``'s domain starts as ``domains[i]``. Each node assigns
+    the free position with the fewest candidates left, ties to the larger
+    degree in ``masks``, then to the lower position. Assigning candidate
+    ``c`` (a bit index) to position ``i`` intersects the domain of each
+    free position ``j`` with ``on[c]`` when bit ``j`` of ``masks[i]`` is
+    set and with ``off[c]`` when it is not, and prunes the branch as soon
+    as one is empty. Candidates come straight from the domain, lowest bit
+    first, so they never need re-checking against assigned positions.
+    One budget node is one attempted assignment; exceeding ``budget``
+    raises SearchBudgetExceeded. Returns each position's candidate, or
+    ``None`` once the space is exhausted.
     """
     n = len(masks)
-    relation = [[m >> j & 1 for j in range(i + 1, n)] for i, m in enumerate(masks)]
+    relation = [[m >> j & 1 for j in range(n)] for m in masks]
     assigned = [0] * n
     nodes = 0
 
-    def extend(i: int, domains: list[int]) -> bool:
+    def extend(free: list[int], domains: list[int]) -> bool:
         nonlocal nodes
-        if i == n:
+        if not free:
             return True
-        rest = domains[1:]
-        row = relation[i]
-        dom = domains[0]
+        sizes = [d.bit_count() for d in domains]
+        k = sizes.index(min(sizes))
+        i, dom = free[k], domains[k]
+        free, rest = free[:k] + free[k + 1:], domains[:k] + domains[k + 1:]
+        row = [relation[i][j] for j in free]
         while dom:
             low = dom & -dom
             dom ^= low
@@ -401,32 +407,35 @@ def _forward_check(masks: Sequence[int], domain: int, on: Sequence[int],
             child = [d & (yes if r else no) for d, r in zip(rest, row)]
             if all(child):
                 assigned[i] = c
-                if extend(i + 1, child):
+                if extend(free, child):
                     return True
         return False
 
-    return assigned if extend(0, [domain] * n) else None
+    # free positions stay sorted by degree, so the first smallest domain wins ties
+    order = sorted(range(n), key=lambda i: -masks[i].bit_count())
+    return assigned if extend(order, [domains[i] for i in order]) else None
 
 
 def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,
                             budget: int = 1_000_000) -> VertexMap | None:
     """Exhaustive search for a strict graph homomorphism, by forward checking.
 
-    Source vertices are assigned in declaration order, target vertices
-    tried lowest index first. Each source vertex keeps a bitmask domain
-    of the target vertices still open to it; assigning ``c`` cuts the
-    domain of every later source neighbour down to the neighbours of
-    ``c``, and a branch ends as soon as a domain is empty. ``budget``
-    caps the number of attempted assignments (search-tree nodes);
-    exceeding it raises SearchBudgetExceeded, which is a distinct outcome
-    from the exhaustive ``None``.
+    Each source vertex keeps a bitmask domain of the target vertices
+    still open to it. Each node assigns the one with the smallest domain
+    (ties to the larger degree, then declaration order), trying target
+    vertices lowest index first; assigning ``c`` cuts the domain of every
+    unassigned source neighbour down to the neighbours of ``c``, and a
+    branch ends as soon as a domain is empty. ``budget`` caps the number
+    of attempted assignments (search-tree nodes); exceeding it raises
+    SearchBudgetExceeded, which is a distinct outcome from the
+    exhaustive ``None``.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     everything = (1 << len(target.vertices)) - 1
     tadj = target.adjacency_masks()
-    found = _forward_check(source.adjacency_masks(), everything, tadj,
-                           [everything] * len(tadj), budget, "homomorphism")
+    found = _forward_check(source.adjacency_masks(), [everything] * len(source.vertices),
+                           tadj, [everything] * len(tadj), budget, "homomorphism")
     if found is None:
         return None
     tgt = target.vertices
@@ -453,14 +462,14 @@ def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
 
     Returns a bijection dict, ``None`` when none exists (in particular
     immediately when the subsets have different sizes), or raises
-    SearchBudgetExceeded. Members of s1 are assigned in declaration
-    order, members of s2 tried lowest index first. Each member of s1
-    keeps a bitmask domain of the s2 members still open to it; assigning
-    ``c`` cuts the domain of every later member to the s2 neighbours of
-    ``c`` (where the pair is an edge) or to its other non-neighbours
-    (where it is not), which also keeps the map injective. ``budget``
-    caps the number of attempted assignments, as in
-    find_graph_homomorphism.
+    SearchBudgetExceeded. Each member of s1 keeps a bitmask domain of
+    the s2 members still open to it, at first those whose degree inside
+    s2 is its degree inside s1. Each node assigns the member with the
+    smallest domain, trying s2 members lowest index first; assigning
+    ``c`` cuts the domain of every unassigned member to the s2 neighbours
+    of ``c`` (where the pair is an edge) or to its other non-neighbours
+    (where it is not), which also keeps the map injective. Ties and
+    ``budget`` work as in find_graph_homomorphism.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -474,7 +483,14 @@ def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
     adj = g.adjacency_masks()
     on = [a & right for a in adj]
     off = [right & ~(a | 1 << c) for c, a in enumerate(adj)]
-    found = _forward_check(g._induced_masks(left), right, on, off, budget, "induced isomorphism")
+    masks = g._induced_masks(left)
+    # an induced isomorphism keeps each member's degree inside its subset
+    by_degree: dict[int, int] = {}
+    for c, a in enumerate(on):
+        if right >> c & 1:
+            by_degree[a.bit_count()] = by_degree.get(a.bit_count(), 0) | 1 << c
+    starts = [by_degree.get(m.bit_count(), 0) for m in masks]
+    found = _forward_check(masks, starts, on, off, budget, "induced isomorphism")
     if found is None:
         return None
     return {u: verts[c] for u, c in zip(left, found)}

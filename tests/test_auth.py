@@ -402,6 +402,23 @@ class TestKeyRecovery:
             assert f is not None
             assert verify_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, f)
 
+    def test_search_effort_on_planted_keys(self):
+        # the budget is the probe: most-constrained-first forward checking
+        # recovers these keys within it, declaration order does not
+        cases = [(32, 12, s, 24) for s in range(1, 21)] + [(64, 24, s, 48) for s in range(1, 6)]
+        for n, m, seed, budget in cases:
+            key = sub_keygen(n, m, seed)
+            f = find_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, budget=budget)
+            assert f is not None
+            assert verify_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, f)
+            assert find_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2,
+                                                     budget=budget) == f
+        for seed in range(1, 11):
+            key = hom_keygen(16, 16, seed)
+            f = find_graph_homomorphism(key.g1, key.g2, budget=20_000)
+            assert f is not None and verify_graph_homomorphism(f)
+            assert find_graph_homomorphism(key.g1, key.g2, budget=20_000) == f
+
 
 class TestKeyFiles:
     def test_hom_round_trip(self):

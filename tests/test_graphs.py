@@ -159,6 +159,15 @@ class TestVerifyHomomorphism:
         empty = SimplicialGraph(())
         assert verify_graph_homomorphism(VertexMap(empty, triangle(), {}))
 
+    def test_map_errors_name_the_first_culprit(self):
+        c3, t = cycle(3), triangle()
+        with pytest.raises(GraphError, match="^assignment missing source vertex 'c1'$"):
+            VertexMap(c3, t, {"c0": "t0", "x": "t1", "c2": "t2"})
+        with pytest.raises(GraphError, match="^assignment key 'x' is not a source vertex$"):
+            VertexMap(c3, t, {"x": "t0", "c0": "t0", "c1": "t1", "c2": "t2"})
+        with pytest.raises(GraphError, match="^image 'c0' of 'c1' is not a target vertex$"):
+            VertexMap(c3, t, {"c0": "t0", "c1": "c0", "c2": "x"})
+
 
 class TestFindHomomorphism:
     def test_five_cycle_is_three_colorable(self):
