@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping
 
 from .graphs import (
@@ -153,6 +153,11 @@ def _random_images(target: SimplicialGraph, count: int, rng: random.Random) -> l
     return [targets[rng.randrange(len(targets))] for _ in range(count)]
 
 
+@lru_cache(maxsize=64)
+def _labels(prefix: str, count: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(count))
+
+
 def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
                     rng: random.Random,
                     keep_prob: float = COMMIT_KEEP_PROB) -> tuple[SimplicialGraph, VertexMap]:
@@ -161,9 +166,13 @@ def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
 
     Candidate edges are exactly the pairs whose images are adjacent, kept
     independently with ``keep_prob``, so the map verifies by construction.
+    At ``keep_prob`` 1 all are kept with no draw from ``rng``; both callers
+    drop ``rng`` after this call, so that changes no output byte.
     """
-    vertices = tuple(f"{prefix}{i}" for i in range(len(images)))
-    masks = _keep_edges(target._induced_masks(images), keep_prob, rng)
+    vertices = _labels(prefix, len(images))
+    masks = target._induced_masks(images)
+    if keep_prob < 1:
+        masks = _keep_edges(masks, keep_prob, rng)
     graph = SimplicialGraph._trusted(vertices, masks)
     return graph, VertexMap(graph, target, dict(zip(vertices, images)))
 
@@ -201,6 +210,8 @@ def hom_commit(target: SimplicialGraph, size: int,
 
     Builds against any target graph: g1 for an honest prover and a
     challenge-0 guess, g2 for a challenge-1 guess. Needs only public data.
+    It keeps the full pullback (``COMMIT_KEEP_PROB`` is 1), so ``seed`` feeds only
+    the image draws: edge draws would follow them from a source then dropped.
     """
     if size < 1:
         raise AuthError("commitment size must be at least 1")
@@ -281,7 +292,7 @@ def _relabel_induced(ambient: SimplicialGraph, subset: VertexSubset,
     m = len(members)
     perm = list(range(m))
     rng.shuffle(perm)
-    vertices = tuple(f"g{i}" for i in range(m))
+    vertices = _labels("g", m)
     beta = {vertices[i]: members[perm[i]] for i in range(m)}
     return SimplicialGraph._trusted(vertices, ambient._induced_masks(beta.values())), beta
 
@@ -346,6 +357,8 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     else from the prover's, so a run is deterministic in the two seeds.
     With ``stop_on_reject`` the run ends at the first rejected round (the
     overall accept value is unaffected; Monte Carlo callers use this).
+    ``commit_size`` sets the ``hom`` commitment size (default: g1's plus 2); a
+    ``sub`` commitment has the subset's size, so there it raises AuthError.
     """
     if rounds < 1:
         raise AuthError("need at least one round")
@@ -372,6 +385,8 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     elif scheme == "sub":
         if not isinstance(key, SubKeyPair):
             raise AuthError("scheme 'sub' needs a SubKeyPair")
+        if commit_size is not None:
+            raise AuthError("commit size applies to scheme 'hom' only")
         subsets = (key.s1, key.s2)
 
         def commit(bit: int) -> tuple[SimplicialGraph, dict[str, str]]:

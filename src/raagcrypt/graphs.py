@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -113,6 +113,19 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[Iterable[str]]) -> l
     return violations
 
 
+@lru_cache(maxsize=256)
+def _label_index(vertices: tuple[str, ...]) -> dict[str, int]:
+    """Each label's position, once the labels pass the check (else GraphError). Memoized:
+    every commitment reuses ``c0``.. or ``g0``..; a failure is never cached, and the
+    graphs that share a dict never mutate it."""
+    index = {v: i for i, v in enumerate(vertices)}
+    text = " ".join(map(str, vertices))
+    # an empty, non-string or whitespace label splits differently
+    if text.split() != list(vertices) or "#" in text or "^" in text or len(index) != len(vertices):
+        raise GraphError("; ".join(validate_graph(vertices, ())))
+    return index
+
+
 class SimplicialGraph:
     """Immutable finite simplicial graph.
 
@@ -139,15 +152,12 @@ class SimplicialGraph:
     @classmethod
     def _trusted(cls, vertices: Iterable[str], masks: Iterable[int]) -> SimplicialGraph:
         """A generated graph, built from its masks without ``validate_graph``'s pass over
-        the edges. A cheap structural check stays (else GraphError): one mask per vertex,
-        labels valid and distinct, masks symmetric, no loop bit and no bit at or above n."""
+        the edges. A cheap structural check stays (else GraphError): labels valid and
+        distinct (``_label_index``, run once per distinct label tuple), and on every call
+        one mask per vertex, masks symmetric, no loop bit and no bit at or above n."""
         vertices, masks = tuple(vertices), tuple(masks)
         n = len(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        text = " ".join(map(str, vertices))
-        # an empty, non-string or whitespace label splits differently
-        if text.split() != list(vertices) or "#" in text or "^" in text or len(index) != n:
-            raise GraphError("; ".join(validate_graph(vertices, ())))
+        index = _label_index(vertices)
         if len(masks) != n:
             raise GraphError(f"{len(masks)} masks for {n} vertices")
         column = [0] * n  # bits j < i with bit i set in masks[j]
@@ -223,9 +233,10 @@ class SimplicialGraph:
         masks, index = self._masks, self._index
         idx = [index[v] for v in labels]
         at = [0] * len(masks)  # the positions holding each vertex
+        present = 0
         for j, b in enumerate(idx):
             at[b] |= 1 << j
-        present = sum(1 << b for b, positions in enumerate(at) if positions)
+            present |= 1 << b
         rows = []
         for a in idx:
             rest, row = masks[a] & present, 0
@@ -276,9 +287,13 @@ class VertexSubset:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", members)
 
-    def ordered(self) -> tuple[str, ...]:
-        """Members in the parent graph's declaration order."""
+    @cached_property
+    def _ordered(self) -> tuple[str, ...]:
         return tuple(v for v in self.parent.vertices if v in self.members)
+
+    def ordered(self) -> tuple[str, ...]:
+        """Members in the parent graph's declaration order, computed once per subset."""
+        return self._ordered
 
     def __len__(self) -> int:
         return len(self.members)

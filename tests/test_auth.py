@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from raagcrypt import auth
 from raagcrypt.auth import (
+    STRATEGIES,
     AuthError,
     HomKeyPair,
     RoundState,
@@ -30,6 +32,8 @@ from raagcrypt.graphs import (
     VertexMap,
     find_graph_homomorphism,
     find_induced_subgraph_isomorphism,
+    format_graph,
+    format_map_lines,
     triangle_vertices,
     verify_graph_homomorphism,
     verify_induced_subgraph_isomorphism,
@@ -321,6 +325,8 @@ class TestProtocol:
             run_protocol("sub", key, 1, "honest", 1, 2)
         with pytest.raises(AuthError):
             run_protocol("nope", key, 1, "honest", 1, 2)
+        with pytest.raises(AuthError, match="hom' only"):
+            run_protocol("sub", sub_keygen(12, 5, 11), 1, "honest", 1, 2, commit_size=5)
 
     def test_verdicts_rechecked_independently_of_driver(self):
         # recompute every verdict from the recorded messages alone
@@ -350,6 +356,37 @@ class TestProtocol:
                                     skey.ambient.has_edge(r.response[u], r.response[v]):
                                 ok = False
                 assert ok == r.verdict
+
+
+class TestProtocolGolden:
+    # a digest over every byte of keys, commitments, session maps, responses
+    # and transcripts: a change that only speeds the rounds up leaves it as is
+    DIGEST = "85210a09d7dc6e973cb6dc71a278575d4fce1c36bbe686c48b4bdfce6f7e43df"
+
+    def test_protocol_output_is_pinned(self):
+        h = hashlib.sha256()
+
+        def add(text):
+            h.update(text.encode())
+            h.update(b"\0")
+
+        hkey, skey = hom_keygen(8, 8, 11), sub_keygen(16, 7, 11)
+        for key in (hkey, skey):
+            add(format_public_key(key))
+            add(format_private_key(key))
+        runs = [("hom", hkey, size) for size in (None, 10)] + [("sub", skey, None)]
+        for scheme, key, size in runs:
+            for strategy in STRATEGIES:
+                for seed in range(4):
+                    t = run_protocol(scheme, key, 12, strategy, seed, 100 + seed,
+                                     commit_size=size)
+                    add(format_transcript(t))
+                    for r in t.rounds:
+                        add(format_graph(r.commitment))
+                        for m in (r.session, r.response):
+                            add(format_map_lines(getattr(m, "assignment", m),
+                                                 r.commitment.vertices))
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestKeyInvariants:

@@ -436,7 +436,7 @@ class TestMaskCore:
         for g in built:
             assert g == SimplicialGraph(g.vertices, g.edge_list())
 
-    @pytest.mark.parametrize("vertices,masks,needle", [
+    TRUSTED_FAILURES = [
         (("a", "b"), (0b10, 0b00), "asymmetric"),
         (("a", "b"), (0b01, 0b00), "loop"),
         (("a", "b"), (0b100, 0b00), "bit >= 2"),
@@ -447,10 +447,30 @@ class TestMaskCore:
         (("a", ""), (0, 0), "empty"),
         (("a", 7), (0, 0), "non-string"),
         (("a", "b"), (0,), "masks for 2 vertices"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("vertices,masks,needle", TRUSTED_FAILURES)
     def test_trusted_structural_check(self, vertices, masks, needle):
         with pytest.raises(GraphError, match=needle):
             SimplicialGraph._trusted(vertices, masks)
+
+    @pytest.mark.parametrize("vertices,masks,needle", TRUSTED_FAILURES)
+    def test_trusted_check_survives_the_label_memo(self, vertices, masks, needle):
+        # the label check runs once per label tuple: a failure must not be
+        # remembered as a pass, and an accepted tuple must not excuse its masks
+        SimplicialGraph._trusted(("a", "b"), (0b10, 0b01))
+        for _ in range(2):
+            with pytest.raises(GraphError, match=needle):
+                SimplicialGraph._trusted(vertices, masks)
+
+    def test_trusted_checks_the_masks_of_commitment_labels(self):
+        labels = auth._labels("c", 3)
+        assert SimplicialGraph._trusted(labels, (0b010, 0b001, 0)).has_edge("c0", "c1")
+        for masks, needle in [((0b010, 0, 0), "asymmetric"), ((0b011, 0b001, 0), "loop"),
+                              ((0b1010, 0b001, 0), "bit >= 3"), ((0b010, 0b001), "3 vertices")]:
+            for _ in range(2):
+                with pytest.raises(GraphError, match=needle):
+                    SimplicialGraph._trusted(labels, masks)
 
     def test_trusted_accepts_valid_masks(self):
         g = SimplicialGraph._trusted(("a", "b", "c"), (0b110, 0b001, 0b001))
