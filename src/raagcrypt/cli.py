@@ -92,11 +92,8 @@ def cmd_word_check(args) -> int:
 
 def cmd_word_sample(args) -> int:
     g = Raag(parse_graph(_read(args.graph)))
-    if args.kind == "trivial":
-        w = sample_trivial_word(g, args.length, args.seed)
-    else:
-        w = sample_nontrivial_word(g, args.length, args.seed)
-    _emit(format_word(w) + "\n", args.out)
+    sample = sample_trivial_word if args.kind == "trivial" else sample_nontrivial_word
+    _emit(format_word(sample(g, args.length, args.seed)) + "\n", args.out)
     return EXIT_OK
 
 

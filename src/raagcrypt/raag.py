@@ -27,6 +27,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat, starmap
+from math import trunc
+from operator import mul
 
 from .graphs import SimplicialGraph, VertexMap, VertexSubset, induced_subgraph
 from .words import Letter, Word, WordError, exponent_sums, free_reduce, invert, letter
@@ -286,47 +289,50 @@ def oracle_is_trivial(g: Raag, w: Word, max_reduced_length: int = 14) -> bool:
 # word samplers
 
 
-def _shuffle_commuting(rng: random.Random, letters: list[Letter],
-                       adjacency: dict[str, frozenset[str]]) -> None:
-    """In-place obfuscation: 4*len random attempts to swap an adjacent
-    commuting pair. Length-preserving, triviality-preserving."""
-    n = len(letters)
+def _shuffle_commuting(rng: random.Random, codes: list[int], commute: tuple[int, ...]) -> None:
+    """In-place obfuscation of letter codes: 4*len random attempts to swap an
+    adjacent commuting pair. Length-preserving, triviality-preserving."""
+    n = len(codes)
     if n < 2:
         return
-    m = n - 1
-    rand = rng.random
-    for _ in range(4 * n):
-        i = int(rand() * m)
-        a = letters[i]
-        b = letters[i + 1]
-        if b[0] in adjacency[a[0]]:
-            letters[i] = b
-            letters[i + 1] = a
+    # int(rng.random() * (n - 1)), 4n times, with no bytecode per draw
+    for i in map(trunc, map(mul, starmap(rng.random, repeat((), 4 * n)), repeat(float(n - 1)))):
+        a = codes[i]
+        b = codes[i + 1]
+        if commute[a] >> b & 1:
+            codes[i] = b
+            codes[i + 1] = a
 
 
-def _sample_trivial(rng: random.Random, g: Raag, target_length: int) -> list[Letter]:
-    graph = g.graph
-    vertices = graph.vertices
-    edge_pairs = graph.edge_list()
-    out: list[Letter] = []
-    while len(out) < target_length:
-        remaining = target_length - len(out)
-        if edge_pairs and remaining >= 4 and rng.random() < 0.7:
-            a, b = edge_pairs[rng.randrange(len(edge_pairs))]
-            if rng.random() < 0.5:
+def _sample(graph: SimplicialGraph, seed: int, even: int, extra: bool) -> Word:
+    """A shuffled trivial word of ``even`` letters, times one more random
+    letter and shuffled again when ``extra``. Runs on letter codes."""
+    # _randbelow(k) is the one draw behind randrange(k), randint(0, k - 1)
+    # and choice() of k items, so the words are those of the calls it replaces
+    letters, commute, edges = graph._letter_codes
+    n = len(graph.vertices)
+    rng = random.Random(seed)
+    below, rand = rng._randbelow, rng.random
+    out: list[int] = []
+    while len(out) < even:
+        remaining = even - len(out)
+        if edges and remaining >= 4 and rand() < 0.7:
+            a, b = edges[below(len(edges))]
+            if rand() < 0.5:
                 a, b = b, a
-            max_conj = min(3, (remaining - 4) // 2)
-            conj = [(vertices[rng.randrange(len(vertices))], rng.choice((1, -1)))
-                    for _ in range(rng.randint(0, max_conj))]
-            out.extend(conj)
-            out.extend(((a, 1), (b, 1), (a, -1), (b, -1)))
-            out.extend((gen, -s) for gen, s in reversed(conj))
+            max_conj = min(3, (remaining - 4) // 2)  # randint(0, max_conj) conjugating letters
+            conj = [2 * below(n) + below(2) for _ in range(below(max_conj + 1))]
+            out += conj
+            out += (a, b, a + 1, b + 1)
+            out += [c ^ 1 for c in reversed(conj)]
         else:
-            x = vertices[rng.randrange(len(vertices))]
-            s = rng.choice((1, -1))
-            out.extend(((x, s), (x, -s)))
-    _shuffle_commuting(rng, out, graph.adjacency)
-    return out
+            c = 2 * below(n) + below(2)
+            out += (c, c ^ 1)
+    _shuffle_commuting(rng, out, commute)
+    if extra:
+        out.append(2 * below(n) + below(2))
+        _shuffle_commuting(rng, out, commute)
+    return tuple(map(letters.__getitem__, out))
 
 
 def sample_trivial_word(g: Raag, target_length: int, seed: int) -> Word:
@@ -340,13 +346,16 @@ def sample_trivial_word(g: Raag, target_length: int, seed: int) -> Word:
         raise ValueError("the group needs at least one generator")
     if target_length <= 0 or target_length % 2:
         raise ValueError("target length must be a positive even integer")
-    return tuple(_sample_trivial(random.Random(seed), g, target_length))
+    return _sample(g.graph, seed, target_length, False)
 
 
 def sample_nontrivial_word(g: Raag, target_length: int, seed: int) -> Word:
-    """A word of about ``target_length`` letters that is not the identity.
+    """A word that is not the identity: exactly ``target_length`` letters
+    when that is odd, ``target_length + 1`` when it is even.
 
-    A sampled trivial word times one extra random letter x^±1, re-obfuscated.
+    A sampled trivial word of the largest even length up to
+    ``target_length`` times one extra random letter x^±1, re-obfuscated.
+    So the length's parity alone tells this word from a trivial one.
     The trivial word's exponent sums are all 0 and commuting swaps keep
     them, so x's exponent sum is ±1 and the word is never trivial.
     """
@@ -354,14 +363,7 @@ def sample_nontrivial_word(g: Raag, target_length: int, seed: int) -> Word:
         raise ValueError("the group needs at least one generator")
     if target_length <= 0:
         raise ValueError("target length must be positive")
-    rng = random.Random(seed)
-    vertices = g.graph.vertices
-    even = target_length if target_length % 2 == 0 else target_length - 1
-    word = _sample_trivial(rng, g, even) if even > 0 else []
-    x = vertices[rng.randrange(len(vertices))]
-    word.append((x, rng.choice((1, -1))))
-    _shuffle_commuting(rng, word, g.graph.adjacency)
-    return tuple(word)
+    return _sample(g.graph, seed, target_length - target_length % 2, True)
 
 
 def presentation_text(g: SimplicialGraph | Raag) -> str:

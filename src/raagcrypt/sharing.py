@@ -119,14 +119,8 @@ def encode_column(g: Raag, c: BitColumn, target_length: int = DEFAULT_WORD_LENGT
     if target_length <= 0 or target_length % 2:
         raise SharingError("word length must be a positive even integer")
     rng = random.Random(seed)
-    out = []
-    for bit in c:
-        sub_seed = rng.getrandbits(64)
-        if bit:
-            out.append(sample_trivial_word(g, target_length, sub_seed))
-        else:
-            out.append(sample_nontrivial_word(g, target_length, sub_seed))
-    return tuple(out)
+    samplers = (sample_nontrivial_word, sample_trivial_word)
+    return tuple(samplers[bit](g, target_length, rng.getrandbits(64)) for bit in c)
 
 
 def decode_column(g: Raag, wc: WordColumn) -> BitColumn:
@@ -257,11 +251,7 @@ def int_to_bits(y: int, k: int) -> BitColumn:
 
 
 def bits_to_int(c: BitColumn) -> int:
-    c = bit_column(c)
-    acc = 0
-    for b in c:
-        acc = (acc << 1) | b
-    return acc
+    return int("".join("01"[b] for b in bit_column(c)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +331,9 @@ def deal_nn(setup: DealerSetupNN, secret: BitColumn, seed: int,
         raise SharingError(f"secret column length {len(secret)} != k={setup.k}")
     rng = random.Random(seed)
     columns = split_bits_nn(secret, setup.n, rng.getrandbits(64))
-    shares = []
-    for j, column in enumerate(columns, start=1):
-        graph = setup.participant_graphs[j - 1]
-        words = encode_column(Raag(graph), column, word_length, rng.getrandbits(64))
-        shares.append(ShareNN(participant=j, graph=graph, words=words))
-    return shares
+    return [ShareNN(participant=j, graph=graph,
+                    words=encode_column(Raag(graph), column, word_length, rng.getrandbits(64)))
+            for j, (graph, column) in enumerate(zip(setup.participant_graphs, columns), start=1)]
 
 
 def decode_share_nn(share: ShareNN) -> BitColumn:
@@ -360,12 +347,10 @@ def deal_tn(participant_graphs: Sequence[SimplicialGraph], x: int, p: int, t: in
     n = len(participant_graphs)
     rng = random.Random(seed)
     setup, points = shamir_split(x, p, t, n, rng.getrandbits(64), k=k)
-    shares = []
-    for (i, y), graph in zip(points, participant_graphs):
-        column = int_to_bits(y, setup.k)
-        words = encode_column(Raag(graph), column, word_length, rng.getrandbits(64))
-        shares.append(ShareTN(participant=i, graph=graph, words=words, p=p, t=t))
-    return setup, shares
+    return setup, [ShareTN(participant=i, graph=graph, p=p, t=t,
+                           words=encode_column(Raag(graph), int_to_bits(y, setup.k), word_length,
+                                               rng.getrandbits(64)))
+                   for (i, y), graph in zip(points, participant_graphs)]
 
 
 def decode_share_tn(share: ShareTN) -> tuple[int, int]:
@@ -388,7 +373,7 @@ def decode_share_tn(share: ShareTN) -> tuple[int, int]:
 def format_share(share: ShareNN | ShareTN) -> str:
     values = dict(vars(share), k=len(share.words))
     lines = [f"scheme {share.scheme}"] + [f"{key} {values[key]}" for key in share.header]
-    lines.extend(format_word(w) for w in share.words)
+    lines.extend(map(format_word, share.words))
     return "\n".join(lines) + "\n"
 
 
@@ -429,5 +414,5 @@ def parse_share(text: str, graph: SimplicialGraph) -> ShareNN | ShareTN:
     extra = [l for l in body[k:] if l.strip()]
     if extra:
         raise SharingError(f"unexpected trailing content {extra[0]!r}")
-    words = tuple(parse_word(l) for l in body[:k])
+    words = tuple(map(parse_word, body[:k]))
     return share_class(graph=graph, words=words, **values)

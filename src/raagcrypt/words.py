@@ -11,6 +11,7 @@ Text format: whitespace-separated tokens, ``v`` for a generator and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 Letter = tuple[str, int]
@@ -65,10 +66,7 @@ def invert(w: Word) -> Word:
 
 def concat(*ws: Word) -> Word:
     """Syntactic concatenation; performs no reduction."""
-    out: list[Letter] = []
-    for w in ws:
-        out.extend(w)
-    return tuple(out)
+    return tuple(l for w in ws for l in w)
 
 
 def exponent_sums(w: Word) -> dict[str, int]:
@@ -79,20 +77,26 @@ def exponent_sums(w: Word) -> dict[str, int]:
     return sums
 
 
+@lru_cache(maxsize=4096)
+def _token_letter(token: str) -> Letter:
+    """One token's letter, else WordError. Memoized; a failure is never cached."""
+    base, sign = (token[:-3], -1) if token.endswith("^-1") else (token, 1)
+    if not base or "^" in base or "#" in base:
+        raise WordError(f"malformed word token {token!r}")
+    return (base, sign)
+
+
 def parse_word(text: str) -> Word:
-    out: list[Letter] = []
-    for token in text.split():
-        if token.endswith("^-1"):
-            base = token[:-3]
-            sign = -1
-        else:
-            base = token
-            sign = 1
-        if not base or "^" in base or "#" in base:
-            raise WordError(f"malformed word token {token!r}")
-        out.append((base, sign))
-    return tuple(out)
+    return tuple(map(_token_letter, text.split()))
+
+
+_SUFFIX = {1: "", -1: "^-1"}  # a letter's text after its generator, by sign
 
 
 def format_word(w: Word) -> str:
-    return " ".join(g if s == 1 else f"{g}^-1" for g, s in w)
+    """The text form; a sign other than +1/-1 raises ``letter``'s WordError."""
+    try:
+        return " ".join([g + _SUFFIX[s] for g, s in w])
+    except KeyError:
+        word(w)  # raises at the first malformed letter
+        raise

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from raagcrypt import sharing
 from raagcrypt.graphs import SimplicialGraph, random_graph
-from raagcrypt.raag import Raag, is_trivial
+from raagcrypt.raag import Raag, is_trivial, sample_nontrivial_word, sample_trivial_word
 from raagcrypt.sharing import (
     DealerSetupNN,
     ShamirSetup,
@@ -387,3 +388,37 @@ class TestShareFiles:
                 parse_share("scheme nn\n" + header + "a\n", g)
         with pytest.raises(SharingError, match="'p <positive int>'"):
             parse_share("scheme tn\nparticipant 1\nk 1\np 0\nt 2\na\n", g)
+
+
+class TestWordsGolden:
+    # a digest over sampled words and share files: a change that only speeds
+    # the sampler or the word codec up leaves it as is
+    DIGEST = "3c839ed6bc11c806abde2b122ba5d4ac7fcf5ab16093010db57a439735b860bc"
+
+    def test_words_and_shares_are_pinned(self):
+        h = hashlib.sha256()
+
+        def add(text):
+            h.update(text.encode())
+            h.update(b"\0")
+
+        letters = ("a", "b", "c", "d", "e")
+        graphs = [SimplicialGraph(("a",)), SimplicialGraph(letters),
+                  SimplicialGraph(letters, itertools.combinations(letters, 2)),
+                  random_graph(10, 0.5, 31), random_graph(64, 0.8, 32)]
+        for g in graphs:
+            raag = Raag(g)
+            for seed in range(12):
+                for length in (2, 4, 6, 16, 50):
+                    add(repr(sample_trivial_word(raag, length, seed)))
+                for length in (1, 2, 3, 7, 16, 51):
+                    add(repr(sample_nontrivial_word(raag, length, seed)))
+        setup = random_dealer_setup_nn(3, 8, 6, 0.5, 33)
+        tn_graphs = [random_graph(7, 0.4, 34 + i) for i in range(4)]
+        for seed in range(3):
+            for share in deal_nn(setup, (1, 0, 1, 1, 0, 0, 1, 0), seed, word_length=12):
+                add(format_share(share))
+            _, shares = deal_tn(tn_graphs, x=40, p=97, t=3, seed=seed, word_length=10)
+            for share in shares:
+                add(format_share(share))
+        assert h.hexdigest() == self.DIGEST

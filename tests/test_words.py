@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from raagcrypt.words import (
     WordError,
+    _token_letter,
     concat,
     exponent_sums,
     format_word,
@@ -87,3 +88,31 @@ class TestTextFormat:
         text = format_word(w)
         assert parse_word(text) == w
         assert format_word(parse_word(text)) == text
+
+    def test_format_rejects_a_sign_other_than_one(self):
+        # any sign but +1 used to be written as an inverse, saving another word
+        for bad in ((("a", 0), ("b", 2)), (("a", 1), ("b", 2)), (("a", -2),)):
+            with pytest.raises(WordError, match="letter sign must be \\+1 or -1"):
+                format_word(bad)
+        with pytest.raises(WordError, match="got 0"):
+            format_word((("a", 0), ("b", 2)))
+
+
+class TestTokenCache:
+    def test_malformed_token_raises_the_same_on_every_call(self):
+        assert parse_word("a") == (("a", 1),)
+        for bad in ("a^2", "^-1", "a#", "a^-1^-1"):
+            for _ in range(2):
+                with pytest.raises(WordError) as caught:
+                    parse_word(f"a {bad}")
+                assert str(caught.value) == f"malformed word token {bad!r}"
+        assert parse_word("a a^-1") == (("a", 1), ("a", -1))
+
+    def test_more_tokens_than_the_cache_holds(self):
+        bound = _token_letter.cache_info().maxsize
+        labels = [f"t{i}" for i in range(bound + 100)]
+        text = " ".join(f"{v} {v}^-1" for v in labels)
+        expected = tuple(l for v in labels for l in ((v, 1), (v, -1)))
+        assert parse_word(text) == expected
+        assert parse_word(text) == expected
+        assert _token_letter.cache_info().currsize <= bound
