@@ -291,12 +291,8 @@ class VertexSubset:
     members: frozenset[str]
 
     def __init__(self, parent: SimplicialGraph, members: Iterable[str]):
-        members = frozenset(members)
-        missing = [v for v in members if not parent.has_vertex(v)]
-        if missing:
-            raise GraphError(f"subset member {missing[0]!r} is not a vertex of the parent graph")
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", _subset_members(parent, members))
 
     @cached_property
     def _ordered(self) -> tuple[str, ...]:
@@ -349,11 +345,19 @@ class VertexMap:
 
 
 def _subset_members(g: SimplicialGraph, s) -> frozenset[str]:
+    """The members of ``s``, a VertexSubset of ``g`` or plain labels of vertices of ``g``
+    (else GraphError, naming the first stranger in the order given)."""
     if isinstance(s, VertexSubset):
         if s.parent != g:
             raise GraphError("subset belongs to a different parent graph")
         return s.members
-    return VertexSubset(g, s).members
+    if iter(s) is s:
+        s = tuple(s)  # an iterator is read once
+    members = frozenset(s)
+    if not g._index.keys() >= members:
+        stranger = next(v for v in s if v not in g._index)
+        raise GraphError(f"subset member {stranger!r} is not a vertex of the parent graph")
+    return members
 
 
 def induced_subgraph(g: SimplicialGraph, s) -> SimplicialGraph:
@@ -392,24 +396,33 @@ def verify_graph_homomorphism(f: VertexMap) -> bool:
     return not any(s & ~t for s, t in zip(f.source.adjacency_masks(), pulled))
 
 
-def _forward_check(masks: Sequence[int], domains: Sequence[int], on: Sequence[int],
-                   off: Sequence[int], budget: int, problem: str) -> list[int] | None:
+def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[int, int],
+                   on: Sequence[int] | Mapping[int, int], off: Sequence[int] | Mapping[int, int],
+                   budget: int, problem: str) -> tuple[list[int] | None, int]:
     """Depth-first search with forward checking over int bitmask domains.
 
-    Position ``i``'s domain starts as ``domains[i]``. Each node assigns
-    the free position with the fewest candidates left, ties to the larger
-    degree in ``masks``, then to the lower position. Assigning candidate
-    ``c`` (a bit index) to position ``i`` intersects the domain of each
-    free position ``j`` with ``on[c]`` when bit ``j`` of ``masks[i]`` is
-    set and with ``off[c]`` when it is not, and prunes the branch as soon
-    as one is empty. Candidates come straight from the domain, lowest bit
-    first, so they never need re-checking against assigned positions.
-    One budget node is one attempted assignment; exceeding ``budget``
-    raises SearchBudgetExceeded. Returns each position's candidate, or
-    ``None`` once the space is exhausted.
+    The positions are the keys of ``domains``, in increasing order, and
+    position ``i``'s domain starts as ``domains[i]``. Bit ``j`` of
+    ``masks[i]`` relates positions ``i`` and ``j``, so positions may be
+    any ints, such as the ambient indices of a subset's members. Each node
+    assigns the free position with the fewest candidates left, ties to
+    the larger degree in ``masks``, then to the lower position. Assigning
+    candidate ``c`` (a bit index) to position ``i`` intersects the domain
+    of each free position ``j`` with ``on[c]`` when bit ``j`` of
+    ``masks[i]`` is set and with ``off[c]`` when it is not, and prunes the
+    branch as soon as one is empty. Candidates come straight from the
+    domain, lowest bit first, so they never need re-checking against
+    assigned positions. Nothing is built up front: the first time
+    position ``i`` is chosen its bits are read off ``masks[i]``; the
+    second time a 0/1 row over all positions is built and kept, so a
+    short search pays for no table and a long one reads a kept row at
+    each node. One budget node is one attempted assignment; exceeding
+    ``budget`` raises SearchBudgetExceeded. Returns a list holding each
+    position's candidate at its index, or ``None`` once the space is
+    exhausted, and the number of nodes used.
     """
-    n = len(masks)
-    relation = [[m >> j & 1 for j in range(n)] for m in masks]
+    n = max(domains, default=-1) + 1
+    rows: dict[int, list[int]] = {}  # [] after a position's first choice, then its full row
     assigned = [0] * n
     nodes = 0
 
@@ -421,7 +434,14 @@ def _forward_check(masks: Sequence[int], domains: Sequence[int], on: Sequence[in
         k = sizes.index(min(sizes))
         i, dom = free[k], domains[k]
         free, rest = free[:k] + free[k + 1:], domains[:k] + domains[k + 1:]
-        row = [relation[i][j] for j in free]
+        m, full = masks[i], rows.get(i)
+        if full is None:
+            rows[i] = []
+            row = [m >> j & 1 for j in free]
+        else:
+            if not full:
+                full = rows[i] = [m >> j & 1 for j in range(n)]
+            row = [full[j] for j in free]
         while dom:
             low = dom & -dom
             dom ^= low
@@ -438,8 +458,9 @@ def _forward_check(masks: Sequence[int], domains: Sequence[int], on: Sequence[in
         return False
 
     # free positions stay sorted by degree, so the first smallest domain wins ties
-    order = sorted(range(n), key=lambda i: -masks[i].bit_count())
-    return assigned if extend(order, [domains[i] for i in order]) else None
+    order = sorted(domains, key=lambda i: -masks[i].bit_count())
+    found = extend(order, [domains[i] for i in order])
+    return (assigned if found else None), nodes
 
 
 def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,
@@ -460,8 +481,9 @@ def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,
         raise ValueError("budget must be positive")
     everything = (1 << len(target.vertices)) - 1
     tadj = target.adjacency_masks()
-    found = _forward_check(source.adjacency_masks(), [everything] * len(source.vertices),
-                           tadj, [everything] * len(tadj), budget, "homomorphism")
+    found, _ = _forward_check(source.adjacency_masks(),
+                              dict.fromkeys(range(len(source.vertices)), everything),
+                              tadj, [everything] * len(tadj), budget, "homomorphism")
     if found is None:
         return None
     tgt = target.vertices
@@ -471,15 +493,30 @@ def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,
 def verify_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
                                         f: Mapping[str, str]) -> bool:
     """Check that a bijection between two vertex subsets preserves both
-    edges and non-edges of the ambient graph (the induced condition)."""
+    edges and non-edges of the ambient graph (the induced condition).
+
+    One pass over s1: each member's neighbours inside s1, pushed through
+    ``f``, must be exactly the neighbours of its image inside s2.
+    """
     m1 = _subset_members(g, s1)
     m2 = _subset_members(g, s2)
-    if set(f.keys()) != m1:
+    if f.keys() != m1:
         raise GraphError("map is not defined on exactly the first subset")
     images = set(f.values())
     if images != m2 or len(images) != len(m1):
         raise GraphError("map is not a bijection onto the second subset")
-    return g._induced_masks(f) == g._induced_masks(f.values())
+    index, adj = g._index, g._masks
+    at = {index[u]: index[v] for u, v in f.items()}
+    inside1, inside2 = sum(1 << a for a in at), sum(1 << b for b in at.values())
+    for a, b in at.items():
+        rest, pushed = adj[a] & inside1, 0
+        while rest:
+            low = rest & -rest
+            pushed |= 1 << at[low.bit_length() - 1]
+            rest ^= low
+        if pushed != adj[b] & inside2:
+            return False
+    return True
 
 
 def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
@@ -495,7 +532,8 @@ def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
     ``c`` cuts the domain of every unassigned member to the s2 neighbours
     of ``c`` (where the pair is an edge) or to its other non-neighbours
     (where it is not), which also keeps the map injective. Ties and
-    ``budget`` work as in find_graph_homomorphism.
+    ``budget`` work as in find_graph_homomorphism. The set-up reads only
+    the subsets' members, not every ambient vertex.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -503,23 +541,23 @@ def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
     m2 = _subset_members(g, s2)
     if len(m1) != len(m2):
         return None
-    verts = g.vertices
-    left = [v for v in verts if v in m1]
-    right = sum(1 << i for i, v in enumerate(verts) if v in m2)
-    adj = g.adjacency_masks()
-    on = [a & right for a in adj]
-    off = [right & ~(a | 1 << c) for c, a in enumerate(adj)]
-    masks = g._induced_masks(left)
+    index, adj, verts = g._index, g._masks, g.vertices
+    # positions and candidates are the members' ambient indices
+    left = sorted(index[v] for v in m1)
+    ids = [index[v] for v in m2]
+    inside, right = sum(1 << a for a in left), sum(1 << c for c in ids)
+    masks = {a: adj[a] & inside for a in left}
+    on = {c: adj[c] & right for c in ids}
+    off = {c: right ^ on[c] ^ 1 << c for c in ids}
     # an induced isomorphism keeps each member's degree inside its subset
     by_degree: dict[int, int] = {}
-    for c, a in enumerate(on):
-        if right >> c & 1:
-            by_degree[a.bit_count()] = by_degree.get(a.bit_count(), 0) | 1 << c
-    starts = [by_degree.get(m.bit_count(), 0) for m in masks]
-    found = _forward_check(masks, starts, on, off, budget, "induced isomorphism")
+    for c, a in on.items():
+        by_degree[a.bit_count()] = by_degree.get(a.bit_count(), 0) | 1 << c
+    starts = {a: by_degree.get(m.bit_count(), 0) for a, m in masks.items()}
+    found, _ = _forward_check(masks, starts, on, off, budget, "induced isomorphism")
     if found is None:
         return None
-    return {u: verts[c] for u, c in zip(left, found)}
+    return {verts[a]: verts[found[a]] for a in left}
 
 
 def random_graph(n: int, p: float, seed: int) -> SimplicialGraph:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from raagcrypt import auth
+from raagcrypt import auth, graphs
 from raagcrypt.auth import (
     STRATEGIES,
     AuthError,
@@ -28,6 +28,7 @@ from raagcrypt.auth import (
     sub_verify,
 )
 from raagcrypt.graphs import (
+    SearchBudgetExceeded,
     SimplicialGraph,
     VertexMap,
     find_graph_homomorphism,
@@ -455,6 +456,36 @@ class TestKeyRecovery:
             f = find_graph_homomorphism(key.g1, key.g2, budget=20_000)
             assert f is not None and verify_graph_homomorphism(f)
             assert find_graph_homomorphism(key.g1, key.g2, budget=20_000) == f
+
+    # the nodes each search above uses, in case order: the least budget that
+    # finds each key, so the search at exactly that budget succeeds
+    SUB_NODES = [12, 12, 15, 12, 12, 13, 12, 12, 12, 12, 12, 14, 12, 12, 12, 12, 12, 12, 12, 12,
+                 24, 24, 24, 24, 24]
+    HOM_NODES = [24, 18, 2790, 30, 39, 62, 20, 21, 16, 1345]
+
+    def test_search_nodes_on_planted_keys(self, monkeypatch):
+        used = []
+        search = graphs._forward_check
+
+        def counted(*args):
+            found, nodes = search(*args)
+            used.append(nodes)
+            return found, nodes
+
+        monkeypatch.setattr(graphs, "_forward_check", counted)
+        cases = [(32, 12, s) for s in range(1, 21)] + [(64, 24, s) for s in range(1, 6)]
+        for (n, m, seed), nodes in zip(cases, self.SUB_NODES):
+            key = sub_keygen(n, m, seed)
+            assert find_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2,
+                                                     budget=nodes) is not None
+            with pytest.raises(SearchBudgetExceeded):
+                find_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, budget=nodes - 1)
+        for seed, nodes in zip(range(1, 11), self.HOM_NODES):
+            key = hom_keygen(16, 16, seed)
+            assert find_graph_homomorphism(key.g1, key.g2, budget=nodes) is not None
+            with pytest.raises(SearchBudgetExceeded):
+                find_graph_homomorphism(key.g1, key.g2, budget=nodes - 1)
+        assert used == self.SUB_NODES + self.HOM_NODES
 
 
 class TestKeyFiles:

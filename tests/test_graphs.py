@@ -1,4 +1,10 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +13,7 @@ from conftest import (
     brute_force_induced_isomorphism_exists,
     brute_force_three_colorable,
 )
-from raagcrypt import auth
+from raagcrypt import auth, graphs
 from raagcrypt.graphs import (
     GraphError,
     SearchBudgetExceeded,
@@ -242,6 +248,76 @@ class TestInducedIsomorphism:
         with pytest.raises(GraphError):
             verify_induced_subgraph_isomorphism(g, ["a", "b"], ["c", "d"], {"a": "c"})
 
+    def test_verify_agrees_with_pairwise_check(self):
+        # overlapping subsets and bijections that are not isomorphisms
+        rng = random.Random(77)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            g = random_graph(rng.randint(1, 12), rng.random(), rng.getrandbits(32))
+            k = rng.randint(0, len(g.vertices))
+            s1, s2 = rng.sample(g.vertices, k), rng.sample(g.vertices, k)
+            f = dict(zip(s1, s2))
+            pairwise = all(g.has_edge(u, v) == g.has_edge(f[u], f[v])
+                           for u, v in combinations(s1, 2))
+            assert verify_induced_subgraph_isomorphism(g, s1, s2, f) == pairwise
+            assert verify_induced_subgraph_isomorphism(g, VertexSubset(g, s1),
+                                                       VertexSubset(g, s2), f) == pairwise
+            verdicts[pairwise] += 1
+        assert min(verdicts.values()) > 100  # both verdicts are exercised
+
+    def test_verify_errors(self):
+        g = SimplicialGraph(("a", "b", "c", "d"), [("a", "b"), ("c", "d")])
+        for s1, s2, f, needle in [
+                (["a", "b"], ["c", "d"], {"a": "c", "b": "d", "c": "a"}, "first subset"),
+                (["a", "b"], ["c", "d"], {"a": "c", "b": "a"}, "bijection"),
+                (["a", "b"], ["c", "d", "a"], {"a": "c", "b": "d"}, "bijection"),
+                (["a", "b"], ["c"], {"a": "c", "b": "c"}, "bijection"),
+                (["a", "zz"], ["c", "d"], {"a": "c", "zz": "d"}, "'zz' is not a vertex"),
+                (["a", "b"], ["c", "yy"], {"a": "c", "b": "yy"}, "'yy' is not a vertex"),
+                (VertexSubset(cycle(4), ["c0"]), ["c"], {"c0": "c"}, "different parent")]:
+            with pytest.raises(GraphError, match=needle):
+                verify_induced_subgraph_isomorphism(g, s1, s2, f)
+
+    def test_subset_member_errors(self):
+        g = SimplicialGraph(("a", "b", "c", "d"), [("a", "b"), ("c", "d")])
+        for s in (["a", "zz", "b", "yy"], ("a", "zz", "yy"), iter(["zz", "a", "yy"])):
+            with pytest.raises(GraphError, match="'zz' is not a vertex"):
+                find_induced_subgraph_isomorphism(g, s, ["a", "b"])
+        foreign = VertexSubset(SimplicialGraph(("a", "b")), ["a", "b"])
+        with pytest.raises(GraphError, match="different parent"):
+            find_induced_subgraph_isomorphism(g, foreign, ["c", "d"])
+        with pytest.raises(GraphError, match="different parent"):
+            find_induced_subgraph_isomorphism(g, ["c", "d"], foreign)
+        # an iterator is read once: a valid one still gives its members
+        assert find_induced_subgraph_isomorphism(g, iter(["b", "a"]), iter(["d", "c"])) == {
+            "a": "c", "b": "d"}
+
+    def test_stranger_named_in_the_order_given(self):
+        # a frozenset's order follows the hash seed; the error, which a key
+        # file's reader passes on, must not
+        code = textwrap.dedent("""\
+            from raagcrypt.auth import AuthError, parse_public_key
+            from raagcrypt.graphs import GraphError, VertexSubset, random_graph
+            try:
+                VertexSubset(random_graph(3, 0.5, 1), ["v0", "zz", "yy", "xx"])
+            except GraphError as e:
+                print(e)
+            try:
+                parse_public_key("scheme sub\\ngraph ambient\\nvertices a b\\n"
+                                 "subset s1 a zz yy xx\\nsubset s2 b\\n")
+            except AuthError as e:
+                print(e)
+            """)
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(graphs.__file__)))
+        inherited = os.environ.get("PYTHONPATH")
+        path = package_root + (os.pathsep + inherited if inherited else "")
+        message = "subset member 'zz' is not a vertex of the parent graph"
+        for seed in ("0", "4242"):
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                                 check=True).stdout
+            assert out == f"{message}\nbad subset in key file: {message}\n"
+
     def test_find_size_mismatch_returns_none(self):
         g = cycle(5)
         assert find_induced_subgraph_isomorphism(g, ["c0", "c1"], ["c2"]) is None
@@ -292,6 +368,57 @@ class TestInducedIsomorphism:
                                               budget=2)
         with pytest.raises(ValueError):
             find_induced_subgraph_isomorphism(g, ["k0"], ["k1"], budget=0)
+
+
+class TestSearchGolden:
+    # a digest over the maps both searches return on planted and random
+    # instances, their None outcomes, and which calls run out of a small
+    # budget: a change that only speeds the searches up leaves it as is
+    DIGEST = "b8cd9a4cf42415c13426cf61ee6db9ae504eafff8f6c5e58f71313e9b40881cb"
+
+    def test_search_outcomes_are_pinned(self):
+        h = hashlib.sha256()
+
+        def add(call):
+            try:
+                out = call()
+            except SearchBudgetExceeded:
+                out = "budget"
+            if isinstance(out, VertexMap):
+                out = out.assignment
+            if isinstance(out, dict):
+                out = " ".join(f"{u}>{v}" for u, v in out.items())
+            h.update(f"{out}\n".encode())
+
+        rng = random.Random(1313)
+        budgets = (1, 2, 3, 5, 8, 13, 40, 120)
+        for n1, n2, seeds in [(8, 8, 8), (16, 16, 6), (24, 32, 2)]:
+            for seed in range(1, seeds + 1):
+                key = auth.hom_keygen(n1, n2, seed)
+                for budget in (10**6, rng.choice(budgets)):
+                    add(lambda: find_graph_homomorphism(key.g1, key.g2, budget=budget))
+        for n, m, seeds in [(16, 7, 6), (32, 12, 6), (64, 24, 2)]:
+            for seed in range(1, seeds + 1):
+                key = auth.sub_keygen(n, m, seed)
+                given = (key.s1, key.s2), (sorted(key.s1.members, reverse=True), key.s2.members)
+                for s1, s2 in given:
+                    for budget in (10**6, rng.choice(budgets)):
+                        add(lambda: find_induced_subgraph_isomorphism(key.ambient, s1, s2,
+                                                                      budget=budget))
+        for _ in range(300):
+            source = random_graph(rng.randint(0, 8), rng.random(), rng.getrandbits(32))
+            target = random_graph(rng.randint(1, 6), rng.random(), rng.getrandbits(32))
+            for budget in (10**6, rng.choice(budgets)):
+                add(lambda: find_graph_homomorphism(source, target, budget=budget))
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 14), rng.random(), rng.getrandbits(32))
+            k = rng.randint(0, len(g.vertices))
+            # overlapping subsets, and now and then sizes that differ
+            s1 = rng.sample(g.vertices, k)
+            s2 = rng.sample(g.vertices, k if rng.random() < 0.9 else rng.randint(0, k))
+            for budget in (10**6, rng.choice(budgets)):
+                add(lambda: find_induced_subgraph_isomorphism(g, s1, s2, budget=budget))
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestRandomGraph:
