@@ -27,12 +27,12 @@ is NP-complete in general.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Mapping
 
 from .graphs import (
     GraphError,
+    Record,
     SimplicialGraph,
     VertexMap,
     VertexSubset,
@@ -86,15 +86,13 @@ class AuthError(ValueError):
     """Raised for malformed keys, parameters, or protocol files."""
 
 
-@dataclass(frozen=True)
-class HomKeyPair:
+class HomKeyPair(Record):
     """Public graphs g1, g2 (g2 contains a triangle); private map alpha: g1 -> g2."""
 
-    g1: SimplicialGraph
-    g2: SimplicialGraph
-    alpha: VertexMap
+    __slots__ = ("g1", "g2", "alpha")
 
-    def __post_init__(self):
+    def __init__(self, g1: SimplicialGraph, g2: SimplicialGraph, alpha: VertexMap):
+        self._set(g1, g2, alpha)
         if self.alpha.source != self.g1 or self.alpha.target != self.g2:
             raise AuthError("private map must go from g1 to g2")
         if not verify_graph_homomorphism(self.alpha):
@@ -103,16 +101,14 @@ class HomKeyPair:
             raise AuthError("g2 must contain a triangle")
 
 
-@dataclass(frozen=True)
-class SubKeyPair:
+class SubKeyPair(Record):
     """Public ambient graph and subsets s1, s2; private induced bijection alpha."""
 
-    ambient: SimplicialGraph
-    s1: VertexSubset
-    s2: VertexSubset
-    alpha: dict[str, str]
+    __slots__ = ("ambient", "s1", "s2", "alpha")
 
-    def __post_init__(self):
+    def __init__(self, ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
+                 alpha: dict[str, str]):
+        self._set(ambient, s1, s2, alpha)
         if len(self.s1) != len(self.s2):
             raise AuthError("subgroup generating sets must have equal size")
         try:
@@ -124,22 +120,29 @@ class SubKeyPair:
             raise AuthError("private bijection does not preserve the induced structure")
 
 
-@dataclass
-class RoundState:
+class RoundState(Record):
     """One round's record, filled strictly in commit/challenge/respond/verify order."""
 
-    commitment: SimplicialGraph
-    session: VertexMap | Mapping[str, str] | None
-    challenge: int | None = None
-    response: VertexMap | Mapping[str, str] | None = None
-    verdict: bool | None = None
+    __slots__ = ("commitment", "session", "challenge", "response", "verdict")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # fields may be reassigned
+    __hash__ = None
+
+    def __init__(self, commitment: SimplicialGraph, session: VertexMap | Mapping[str, str] | None,
+                 challenge: int | None = None,
+                 response: VertexMap | Mapping[str, str] | None = None,
+                 verdict: bool | None = None):
+        self.commitment = commitment
+        self.session = session
+        self.challenge = challenge
+        self.response = response
+        self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class Transcript:
-    scheme: str
-    rounds: tuple[RoundState, ...]
-    accept: bool
+class Transcript(Record):
+    __slots__ = ("scheme", "rounds", "accept")
+
+    def __init__(self, scheme: str, rounds: tuple[RoundState, ...], accept: bool):
+        self._set(scheme, rounds, accept)
 
 
 # ---------------------------------------------------------------------------

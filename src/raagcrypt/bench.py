@@ -10,29 +10,30 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import SimplicialGraph
+from .graphs import Record, SimplicialGraph
 from .raag import Raag, is_trivial, sample_trivial_word
 
 __all__ = ["BenchPoint", "BenchResult", "fit_loglog_slope", "run_word_benchmark"]
 
 
-@dataclass(frozen=True)
-class BenchPoint:
-    length: int
-    samples: tuple[float, ...]  # seconds, one per repetition
+class BenchPoint(Record):
+    __slots__ = ("length", "samples")
+
+    def __init__(self, length: int, samples: tuple[float, ...]):  # seconds, one per repetition
+        self._set(length, samples)
 
     @property
     def mean(self) -> float:
         return sum(self.samples) / len(self.samples)
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    points: tuple[BenchPoint, ...]
-    slope: float
+class BenchResult(Record):
+    __slots__ = ("points", "slope")
+
+    def __init__(self, points: tuple[BenchPoint, ...], slope: float):
+        self._set(points, slope)
 
 
 def fit_loglog_slope(lengths: Sequence[int], means: Sequence[float]) -> float:

@@ -22,7 +22,6 @@ results are deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -283,16 +282,49 @@ def _keep_edges(candidates: Sequence[int], p: float, rng: random.Random) -> list
     return masks
 
 
-@dataclass(frozen=True)
-class VertexSubset:
+class Record:
+    """A frozen record: ``_set`` fills ``__slots__`` once; eq, hash, repr and copy follow them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class VertexSubset(Record):
     """A subset of the vertices of a fixed parent graph."""
 
-    parent: SimplicialGraph
-    members: frozenset[str]
+    __slots__ = ("parent", "members", "__dict__")  # the dict holds the cached ``ordered()``
 
     def __init__(self, parent: SimplicialGraph, members: Iterable[str]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", _subset_members(parent, members))
+        self._set(parent, _subset_members(parent, members))
 
     @cached_property
     def _ordered(self) -> tuple[str, ...]:
@@ -306,17 +338,14 @@ class VertexSubset:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(Record):
     """A total assignment of source vertices to target vertices.
 
     Edge preservation is deliberately not an invariant; it is what the
     verification operations decide.
     """
 
-    source: SimplicialGraph
-    target: SimplicialGraph
-    assignment: Mapping[str, str]
+    __slots__ = ("source", "target", "assignment")
 
     def __init__(self, source: SimplicialGraph, target: SimplicialGraph,
                  assignment: Mapping[str, str]):
@@ -331,7 +360,7 @@ class VertexMap:
                     raise GraphError(f"assignment key {v!r} is not a source vertex")
                 if not target.has_vertex(img):
                     raise GraphError(f"image {img!r} of {v!r} is not a target vertex")
-        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "source", source)  # not ``_set``: auth builds a map per round
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", assignment)
 
@@ -345,12 +374,14 @@ class VertexMap:
 
 
 def _subset_members(g: SimplicialGraph, s) -> frozenset[str]:
-    """The members of ``s``, a VertexSubset of ``g`` or plain labels of vertices of ``g``
-    (else GraphError, naming the first stranger in the order given)."""
+    """The members of ``s``, a VertexSubset of ``g`` or labels of vertices of ``g`` other than
+    a bare string (else GraphError, naming the first stranger in the order given)."""
     if isinstance(s, VertexSubset):
         if s.parent != g:
             raise GraphError("subset belongs to a different parent graph")
         return s.members
+    if isinstance(s, str):
+        raise GraphError(f"subset {s!r} is a string, not a collection of vertex labels")
     if iter(s) is s:
         s = tuple(s)  # an iterator is read once
     members = frozenset(s)

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat, starmap
 from math import trunc
 from operator import mul
 
-from .graphs import SimplicialGraph, VertexMap, VertexSubset, induced_subgraph
+from .graphs import Record, SimplicialGraph, VertexMap, VertexSubset, induced_subgraph
 from .words import Letter, Word, WordError, exponent_sums, free_reduce, invert, letter
 
 __all__ = [
@@ -85,26 +84,29 @@ class Raag:
         return f"Raag({self.graph!r})"
 
 
-@dataclass(frozen=True)
-class SpecialSubgroup:
+class SpecialSubgroup(Record):
     """Subgroup generated by a subset of the standard generators.
 
     Presented by the induced subgraph on its generating set, which is
     automatically a full subgraph.
     """
 
-    parent: Raag
-    generators: VertexSubset
+    __slots__ = ("parent", "generators")
+
+    def __init__(self, parent: Raag, generators: VertexSubset):
+        self._set(parent, generators)
 
     def presentation(self) -> Raag:
         return Raag(induced_subgraph(self.parent.graph, self.generators))
 
 
-@dataclass(frozen=True)
-class Piling:
+class Piling(Record):
     """Solver state: one stack per vertex, aligned with declaration order."""
 
-    stacks: tuple[tuple[int, ...], ...]
+    __slots__ = ("stacks",)
+
+    def __init__(self, stacks: tuple[tuple[int, ...], ...]):
+        self._set(stacks)
 
     def is_empty(self) -> bool:
         return all(not s for s in self.stacks)

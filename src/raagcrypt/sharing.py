@@ -17,10 +17,9 @@ columns; any t decoded shares recover x by Lagrange interpolation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .graphs import GraphError, SimplicialGraph, random_graph
+from .graphs import GraphError, Record, SimplicialGraph, random_graph
 from .raag import Raag, is_trivial, sample_nontrivial_word, sample_trivial_word
 from .words import Word, format_word, parse_word
 
@@ -163,18 +162,13 @@ def _check_modulus_and_threshold(p: int, t: int) -> None:
         raise SharingError("threshold must be at least 2")
 
 
-@dataclass(frozen=True)
-class ShamirSetup:
-    """Dealer-side record of one (t,n) split."""
+class ShamirSetup(Record):
+    """Dealer-side record of one (t,n) split; coefficients a_0 = secret, degree <= t-1."""
 
-    p: int
-    t: int
-    n: int
-    k: int
-    secret: int
-    coefficients: tuple[int, ...]  # a_0 = secret, degree <= t-1
+    __slots__ = ("p", "t", "n", "k", "secret", "coefficients")
 
-    def __post_init__(self):
+    def __init__(self, p: int, t: int, n: int, k: int, secret: int, coefficients: tuple[int, ...]):
+        self._set(p, t, n, k, secret, coefficients)
         _check_modulus_and_threshold(self.p, self.t)
         if self.t > self.n:
             raise SharingError("threshold must not exceed n")
@@ -206,9 +200,9 @@ def shamir_split(x: int, p: int, t: int, n: int, seed: int,
         raise SharingError("need n < p for distinct nonzero evaluation points")
     if k is None:
         k = (p - 1).bit_length()
-    setup = ShamirSetup(p=p, t=t, n=n, k=k, secret=x, coefficients=(x,))
+    ShamirSetup(p, t, n, k, x, (x,))  # checks the other rules before any draw
     rng = random.Random(seed)
-    setup = replace(setup, coefficients=(x,) + tuple(rng.randrange(p) for _ in range(t - 1)))
+    setup = ShamirSetup(p, t, n, k, x, (x,) + tuple(rng.randrange(p) for _ in range(t - 1)))
     points = [(i, setup.evaluate(i)) for i in range(1, n + 1)]
     return setup, points
 
@@ -258,16 +252,14 @@ def bits_to_int(c: BitColumn) -> int:
 # dealer flows
 
 
-@dataclass(frozen=True)
-class DealerSetupNN:
+class DealerSetupNN(Record):
     """Public generators plus each participant's secret relator graph."""
 
-    n: int
-    k: int
-    generators: tuple[str, ...]
-    participant_graphs: tuple[SimplicialGraph, ...]
+    __slots__ = ("n", "k", "generators", "participant_graphs")
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, generators: tuple[str, ...],
+                 participant_graphs: tuple[SimplicialGraph, ...]):
+        self._set(n, k, generators, participant_graphs)
         if self.n < 2:
             raise SharingError("need at least 2 participants")
         if self.k < 1:
@@ -281,26 +273,22 @@ class DealerSetupNN:
                 raise GraphError("participant graph must use exactly the public generators")
 
 
-@dataclass(frozen=True)
-class ShareNN:
-    participant: int  # 1-based
-    graph: SimplicialGraph  # secret
-    words: WordColumn  # public
-
+class ShareNN(Record):
+    __slots__ = ("participant", "graph", "words")  # 1-based; secret; public
     scheme = "nn"
     header = ("participant", "k")  # share-file lines after the scheme line
 
+    def __init__(self, participant: int, graph: SimplicialGraph, words: WordColumn):
+        self._set(participant, graph, words)
 
-@dataclass(frozen=True)
-class ShareTN:
-    participant: int  # 1-based; also the evaluation point
-    graph: SimplicialGraph  # secret
-    words: WordColumn  # public
-    p: int
-    t: int
 
+class ShareTN(Record):
+    __slots__ = ("participant", "graph", "words", "p", "t")  # participant: the evaluation point
     scheme = "tn"
     header = ("participant", "k", "p", "t")
+
+    def __init__(self, participant: int, graph: SimplicialGraph, words: WordColumn, p: int, t: int):
+        self._set(participant, graph, words, p, t)
 
 
 def random_participant_graphs(n: int, num_generators: int, edge_prob: float,
@@ -371,8 +359,8 @@ def decode_share_tn(share: ShareTN) -> tuple[int, int]:
 
 
 def format_share(share: ShareNN | ShareTN) -> str:
-    values = dict(vars(share), k=len(share.words))
-    lines = [f"scheme {share.scheme}"] + [f"{key} {values[key]}" for key in share.header]
+    lines = [f"scheme {share.scheme}"] + [
+        f"{key} {len(share.words) if key == 'k' else getattr(share, key)}" for key in share.header]
     lines.extend(map(format_word, share.words))
     return "\n".join(lines) + "\n"
 

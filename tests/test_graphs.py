@@ -292,6 +292,24 @@ class TestInducedIsomorphism:
         assert find_induced_subgraph_isomorphism(g, iter(["b", "a"]), iter(["d", "c"])) == {
             "a": "c", "b": "d"}
 
+    def test_bare_string_is_not_a_subset(self):
+        # a string is refused, not read as its characters, even where they are vertices
+        g = SimplicialGraph(("a", "b", "c", "d", "v0"), [("a", "b"), ("c", "d")])
+        needle = "is a string, not a collection of vertex labels"
+        for subset in ("v0", "ab"):
+            with pytest.raises(GraphError, match=f"subset '{subset}' {needle}"):
+                VertexSubset(g, subset)
+            with pytest.raises(GraphError, match=needle):
+                induced_subgraph(g, subset)
+        with pytest.raises(GraphError, match="subset 'ab' " + needle):
+            find_induced_subgraph_isomorphism(g, "ab", ["c", "d"])
+        with pytest.raises(GraphError, match="subset 'cd' " + needle):
+            find_induced_subgraph_isomorphism(g, ["a", "b"], "cd")
+        with pytest.raises(GraphError, match=needle):
+            verify_induced_subgraph_isomorphism(g, "ab", "cd", {"a": "c", "b": "d"})
+        # a one-label list still names the label
+        assert VertexSubset(g, ["v0"]).members == frozenset({"v0"})
+
     def test_stranger_named_in_the_order_given(self):
         # a frozenset's order follows the hash seed; the error, which a key
         # file's reader passes on, must not
