@@ -317,6 +317,12 @@ def cmd_bench_word(args) -> int:
     graph = parse_graph(_read(args.graph))
     lengths = [int(x) for x in args.lengths.split(",") if x]
     result = bench.run_word_benchmark(graph, lengths, args.repetitions, args.seed)
+    if args.json:
+        import json  # here, so that no other command pays for its import
+        points = [{"length": p.length, "mean_s": p.mean, "samples_s": list(p.samples),
+                   "ns_per_letter": p.mean / p.length * 1e9} for p in result.points]
+        print(json.dumps({"points": points, "loglog_slope": result.slope}))
+        return EXIT_OK
     print(f"{'length':>10} {'mean_s':>12}  samples_s")
     for point in result.points:
         samples = " ".join(f"{s:.6f}" for s in point.samples)
@@ -441,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--lengths", required=True, help="comma-separated, ascending, even")
     b.add_argument("--repetitions", type=int, default=5)
     b.add_argument("--seed", type=int, required=True)
+    b.add_argument("--json", action="store_true", help="print one JSON object instead of the table")
     b.set_defaults(func=cmd_bench_word)
 
     return parser

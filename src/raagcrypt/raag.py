@@ -3,9 +3,9 @@
 A RAAG is presented by a simplicial graph: one generator per vertex, one
 commutation relation per edge. The word problem is solved by a piling
 (Crisp, Godelle and Wiest, J. Topology 2 (2009)), run in timestamp form:
-the letters still left in the reduced word are kept oldest first, each
-recording the top of its vertex it covered when pushed. A letter cancels
-its vertex's top when that letter has the opposite sign and no
+the letters still left sit oldest first in two word-sized arrays below a
+local height, each recording the top of its vertex it covered. A letter
+cancels its vertex's top when that letter has the opposite sign and no
 non-adjacent letter is left after it (nothing non-commuting intervened),
 and the top it covered becomes the top again; otherwise it is pushed.
 Whether such a letter is left is found by walking back over the letters
@@ -153,28 +153,30 @@ def push_letter(p: Piling, l: Letter, g: SimplicialGraph) -> Piling:
 def is_trivial(g: Raag, w: Word) -> bool:
     """Decide whether ``w`` represents the identity of the group.
 
-    Runs the timestamp piling over the whole word in one pass. ``left``
-    holds one entry per letter still left in the reduced word, oldest
-    first: the letter's vertex bit, or 0 once a letter below the newest
-    has cancelled. ``covered`` is aligned with it, and a cancel restores
-    v's top from the entry of the letter it removes. The letters newer
-    than v's top are the tail of ``left``. A cancel attempt for v tests
-    each of those against v's non-neighbour mask; when more than
-    |Nbar(v)| of them are left, cancelled ones included, it reads the
-    |Nbar(v)| non-adjacent tops instead. Either way it costs
-    O(1 + |Nbar(v)|), and cancelled entries leave both lists when they
-    reach the end, so the pass is linear in ``len(w)`` for a fixed graph.
+    Runs the timestamp piling over the whole word in one pass, in two
+    arrays of ``len(w) + 1`` slots and a height ``h``. Slot 0 of ``left``
+    is a guard; slots 1 to ``h`` hold one entry per letter left, oldest
+    first: its vertex bit, or 0 once it has cancelled below the newest
+    letter. A push fills slot ``h + 1`` of ``left`` and ``covered``, a
+    cancel restores v's top from ``covered``, and slots above ``h`` are
+    stale and never read. A cancel attempt for v tests the letters newer
+    than v's top against v's non-neighbour mask, or, when more than
+    |Nbar(v)| of them are left, reads the |Nbar(v)| non-adjacent tops.
+    Either way it costs O(1 + |Nbar(v)|), and ``h`` drops past cancelled
+    entries at the top, so on a fixed graph the pass is linear in ``len(w)``.
     """
     graph = g.graph
     index = graph._index
     nbar = graph.nonneighbors()
     nbar_masks = graph._nbar_masks
-    # ``top[v]`` is the length of ``left`` up to and including v's newest
-    # letter still left, signed with its sign, or 0 when v has none;
-    # ``covered[i]`` is the ``top`` that letter i covered when pushed
+    w = tuple(w)
+    # ``left[1:h + 1]`` holds the letters left, above a nonzero guard in slot 0;
+    # ``top[v]`` is the slot of v's newest letter left, signed with its sign,
+    # or 0; ``covered[i]`` is the ``top`` that slot i's letter covered
     top = [0] * len(graph.vertices)
-    left = [-1]  # a nonzero guard: the popping of cancelled entries stops at it
-    covered = [0]
+    left = [-1] * (len(w) + 1)
+    covered = [0] * (len(w) + 1)
+    h = 0
     for gen, sign in w:
         v = index.get(gen)
         if v is None or (sign != 1 and sign != -1):
@@ -182,36 +184,36 @@ def is_trivial(g: Raag, w: Word) -> bool:
         tv = top[v]
         if tv * sign < 0:
             tv = abs(tv)
-            newer = len(left) - tv
+            newer = h - tv
             if not newer:
-                top[v] = covered.pop()
-                left.pop()
-                while not left[-1]:
-                    left.pop()
-                    covered.pop()
+                top[v] = covered[h]
+                h -= 1
+                while not left[h]:
+                    h -= 1
                 continue
             nb = nbar[v]
             if newer <= len(nb):
                 mask = nbar_masks[v]
-                for b in left[tv:]:
+                for b in left[tv + 1:h + 1]:
                     if b & mask:
                         break
                 else:
-                    top[v] = covered[tv - 1]
-                    left[tv - 1] = 0
+                    top[v] = covered[tv]
+                    left[tv] = 0
                     continue
             else:
                 for u in nb:
                     if abs(top[u]) > tv:
                         break
                 else:
-                    top[v] = covered[tv - 1]
-                    left[tv - 1] = 0
+                    top[v] = covered[tv]
+                    left[tv] = 0
                     continue
-        covered.append(top[v])
-        left.append(1 << v)
-        top[v] = sign * len(left)
-    verdict = len(left) == 1
+        h += 1
+        covered[h] = top[v]
+        left[h] = 1 << v
+        top[v] = sign * h
+    verdict = not h
     if verdict and PARITY_ASSERTS:
         assert not any(exponent_sums(w).values()), \
             "trivial verdict with nonzero exponent sum"

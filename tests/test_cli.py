@@ -10,6 +10,8 @@ under test: 0 success/accept, 1 semantic negative, 2 usage or format
 error.
 """
 
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import raagcrypt
+from raagcrypt import bench
 from raagcrypt.cli import main
 from raagcrypt.graphs import GraphError, parse_graph
 
@@ -395,6 +398,50 @@ class TestBenchCommand:
                            "400,800,1600", "--repetitions", "2", "--seed", "1")
         assert code == 0
         assert "loglog_slope" in out
+
+
+class TestBenchJson:
+    # a fixed result in place of the timings, so the printed text is exact
+    FIXED = bench.BenchResult(points=(bench.BenchPoint(100, (0.001, 0.003)),
+                                      bench.BenchPoint(200, (0.004,)),
+                                      bench.BenchPoint(400, (0.008, 0.008))), slope=1.5)
+
+    @pytest.fixture
+    def fixed(self, monkeypatch):
+        monkeypatch.setattr(bench, "run_word_benchmark", lambda *args: self.FIXED)
+
+    def test_table_is_unchanged(self, capsys, edge_graph, fixed):
+        code, out, _ = run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",
+                           "100,200,400", "--seed", "1")
+        assert code == 0
+        assert out == ("    length       mean_s  samples_s\n"
+                       "       100     0.002000  0.001000 0.003000\n"
+                       "       200     0.004000  0.004000\n"
+                       "       400     0.008000  0.008000 0.008000\n"
+                       "loglog_slope 1.5000\n")
+
+    def test_json_is_one_object(self, capsys, edge_graph, fixed):
+        code, out, _ = run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",
+                           "100,200,400", "--seed", "1", "--json")
+        assert code == 0 and out.count("\n") == 1
+        record = json.loads(out)
+        assert record["loglog_slope"] == 1.5
+        assert [p["length"] for p in record["points"]] == [100, 200, 400]
+        assert [p["samples_s"] for p in record["points"]] == [[0.001, 0.003], [0.004],
+                                                              [0.008, 0.008]]
+        for p, mean in zip(record["points"], (0.002, 0.004, 0.008)):
+            assert p["mean_s"] == pytest.approx(mean)
+            assert p["ns_per_letter"] == pytest.approx(mean / p["length"] * 1e9)
+
+    def test_json_from_a_real_run(self, capsys, edge_graph):
+        code, out, _ = run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",
+                           "400,800,1600", "--repetitions", "2", "--seed", "1", "--json")
+        assert code == 0
+        record = json.loads(out)
+        assert [p["length"] for p in record["points"]] == [400, 800, 1600]
+        for p in record["points"]:
+            assert len(p["samples_s"]) == 2 and p["mean_s"] > 0 and p["ns_per_letter"] > 0
+        assert math.isfinite(record["loglog_slope"])
 
 
 # The directory that holds the imported raagcrypt package. Child

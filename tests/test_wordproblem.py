@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import signal
@@ -469,3 +470,122 @@ class TestGeneratorHomomorphism:
             found += 1
             assert verify_graph_homomorphism(f)
             assert verify_generator_homomorphism(f)
+
+
+class TestVerdictGolden:
+    # a digest over the solver's verdicts on a fixed corpus: sampled trivial
+    # and nontrivial words, each word times its inverse, a copy with one
+    # letter replaced, and a^M c^L a^-M c^-L with and without a b inside; a
+    # change that only speeds the solver up leaves it as is
+    DIGEST = "bd4f218567853e2c9986af0bebcec2c4e5ef56b20d13efee7a4330acc4b15306"
+
+    def test_verdicts_are_pinned(self):
+        h = hashlib.sha256()
+        counts = [0, 0]
+
+        def add(group, w):
+            verdict = is_trivial(group, w)
+            counts[verdict] += 1
+            h.update(b"1" if verdict else b"0")
+
+        letters = ("a", "b", "c", "d", "e")
+        graphs = [SimplicialGraph(("a",)), SimplicialGraph(letters),
+                  SimplicialGraph(letters, itertools.combinations(letters, 2)),
+                  random_graph(16, 0.5, 61), random_graph(64, 0.2, 62), random_graph(64, 0.8, 63)]
+        for g in graphs:
+            group = Raag(g)
+            alphabet = [(v, s) for v in g.vertices for s in (1, -1)]
+            rng = random.Random(len(g.vertices))
+            for seed in range(8):
+                words = [sample_trivial_word(group, n, seed) for n in (2, 8, 32, 128, 512)]
+                words += [sample_nontrivial_word(group, n, seed) for n in (1, 7, 31, 127, 511)]
+                for w in words:
+                    i = rng.randrange(len(w))
+                    for x in (w, w + invert(w), w[:i] + (rng.choice(alphabet),) + w[i + 1:]):
+                        add(group, x)
+        g = Raag(SimplicialGraph(("a", "b", "c"), [("a", "c")]))
+        for m in range(5):
+            for l in range(5):
+                w = (("a", 1),) * m + (("c", 1),) * l + (("a", -1),) * m + (("c", -1),) * l
+                add(g, w)
+                add(g, w[:m] + (("b", 1),) + w[m:])
+        assert counts[0] > 500 and counts[1] > 500
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestStaleSlots:
+    # the solver's letter arrays keep what cancelled letters left above the
+    # pile height; these words put such slots right above the height, where
+    # a walk or pop that read past it would see the wrong letters
+
+    def test_empty_then_refill_cancels_across_stale_slots(self):
+        # b^4 b^-4 leaves four b entries above an empty pile; a^-1 must
+        # then see only the c after its partner, not the b's beyond it
+        g = Raag(SimplicialGraph(("a", "b", "c"), [("a", "c")]))
+        w = parse_word("b b b b b^-1 b^-1 b^-1 b^-1 a c a^-1 c^-1")
+        assert is_trivial(g, w)
+        assert is_trivial(g, w + w)
+        assert not is_trivial(g, w + parse_word("a c b a^-1 c^-1"))
+
+    def test_zeroed_entries_above_the_height(self):
+        # a^-1 cancels below the newest letter and zeroes a's entry; c^-1 c^-1
+        # then pop both c's and the zeroed entry, leaving 0 c c above an empty
+        # pile; b^-1 must then see only the a after its partner, not the
+        # stale c beyond it (b and c do not commute)
+        g = Raag(SimplicialGraph(("a", "b", "c"), [("a", "b"), ("a", "c")]))
+        w = parse_word("a c c a^-1 c^-1 c^-1")
+        assert is_trivial(g, w + parse_word("b a b^-1 a^-1"))
+        assert is_trivial(g, w + parse_word("b a b^-1 a^-1") + w)
+        assert not is_trivial(g, w + parse_word("b c b^-1 c^-1"))
+
+    def test_matches_stepwise_pushes_on_refilled_piles(self):
+        rng = random.Random(26)
+        checked = 0
+        while checked < 400:
+            g = random_graph(rng.randint(2, 8), rng.random(), rng.getrandbits(32))
+            edges = g.edge_list()
+            w = ()
+            while len(w) < 80:
+                kind = rng.random()
+                if kind < 0.35:  # up and back down to the guard
+                    u = random_word(rng, g, max_len=10)
+                    w += u + invert(u)
+                elif kind < 0.7 and edges:  # cancels below the newest letter
+                    x, y = rng.sample(rng.choice(edges), 2)
+                    e, f = rng.choice((1, -1)), rng.choice((1, -1))
+                    run = ((y, f),) * rng.randint(1, 3)
+                    w += ((x, e),) + run + ((x, -e),) + invert(run)
+                else:
+                    w += random_word(rng, g, max_len=4)
+            p = empty_piling(g)
+            for l in w:
+                p = push_letter(p, l, g)
+            assert is_trivial(Raag(g), w) == p.is_empty()
+            checked += 1
+
+
+class TestInputContract:
+    def test_any_iterable_of_letters(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            g = random_graph(rng.randint(1, 5), rng.random(), rng.getrandbits(32))
+            group = Raag(g)
+            w = random_word(rng, g, max_len=16)
+            if rng.random() < 0.5:
+                w += invert(w)
+            verdict = is_trivial(group, w)
+            assert is_trivial(group, list(w)) == verdict
+            assert is_trivial(group, (l for l in w)) == verdict
+            assert is_trivial(group, [list(l) for l in w]) == verdict
+            assert is_trivial(group, iter(w)) == verdict
+
+    @pytest.mark.parametrize("w,message", [
+        ((("a", 1), ("zz", 1), ("a", -1), ("b", 3)), "unknown generator 'zz'"),
+        ((("a", 1), ("b", 3), ("a", -1), ("zz", 1)), "sign"),
+        (([" a", 1],), "unknown generator ' a'"),
+        ((("a", 1), ("a", -1), ("b", 0)), "sign"),
+    ])
+    def test_first_bad_letter_raises(self, w, message):
+        for shape in (tuple, list, iter):
+            with pytest.raises(WordError, match=message):
+                is_trivial(EDGE, shape(w))
