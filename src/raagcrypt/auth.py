@@ -7,9 +7,9 @@ reveals beta (c = 0) or the composite of beta with the long-term private
 key alpha (c = 1); the verifier checks the revealed map against the
 public data. A cheater who prepared for only one challenge value
 survives a round with probability 1/2, so r rounds drive the soundness
-error to 2^-r. ``run_protocol`` runs both schemes and every prover
-strategy in one round loop; only building a commitment, answering a
-wrong guess at random and verifying depend on the scheme.
+error to 2^-r. ``scheme_steps`` owns each scheme's round rules (commit,
+respond, junk answer, verify); ``run_protocol`` runs every prover strategy
+through them, and ``raagcrypt auth verify`` re-checks recorded rounds.
 
 Scheme "hom": public key is a pair of graphs; alpha is a strict graph
 homomorphism between them. Keys and commitments are planted: instances
@@ -51,6 +51,7 @@ __all__ = [
     "AuthError",
     "HomKeyPair",
     "SubKeyPair",
+    "KEY_PAIRS",
     "RoundState",
     "Transcript",
     "STRATEGIES",
@@ -62,6 +63,7 @@ __all__ = [
     "sub_commit",
     "sub_respond",
     "sub_verify",
+    "scheme_steps",
     "run_protocol",
     "acceptance_rate",
     "format_public_key",
@@ -89,6 +91,7 @@ class AuthError(ValueError):
 class HomKeyPair(Record):
     """Public graphs g1, g2 (g2 contains a triangle); private map alpha: g1 -> g2."""
 
+    scheme = "hom"
     __slots__ = ("g1", "g2", "alpha")
 
     def __init__(self, g1: SimplicialGraph, g2: SimplicialGraph, alpha: VertexMap):
@@ -104,6 +107,7 @@ class HomKeyPair(Record):
 class SubKeyPair(Record):
     """Public ambient graph and subsets s1, s2; private induced bijection alpha."""
 
+    scheme = "sub"
     __slots__ = ("ambient", "s1", "s2", "alpha")
 
     def __init__(self, ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
@@ -118,6 +122,10 @@ class SubKeyPair(Record):
             raise AuthError(f"private bijection is malformed: {e}") from None
         if not ok:
             raise AuthError("private bijection does not preserve the induced structure")
+
+
+# fields: the public key as parse_public_key gives it after the scheme name, then alpha
+KEY_PAIRS = {cls.scheme: cls for cls in (HomKeyPair, SubKeyPair)}
 
 
 class RoundState(Record):
@@ -239,15 +247,19 @@ def hom_verify(g1: SimplicialGraph, g2: SimplicialGraph,
     """Accept iff the response is a strict homomorphism from the committed
     graph into g1 (challenge 0) or g2 (challenge 1).
 
-    Target correctness means codomain identity, not surjectivity.
-    Malformed responses are rejected, never raised on.
+    Target correctness means codomain identity, not surjectivity. A plain map is read
+    from the commitment into the challenged target. Malformed responses are rejected.
     """
     if challenge not in (0, 1):
         raise AuthError(f"challenge must be 0 or 1, got {challenge!r}")
-    if not isinstance(response, VertexMap):
-        return False
     expected_target = g1 if challenge == 0 else g2
-    if response.source != commitment or response.target != expected_target:
+    if isinstance(response, Mapping):
+        try:
+            response = VertexMap(commitment, expected_target, response)
+        except GraphError:
+            return False
+    if (not isinstance(response, VertexMap) or response.source != commitment
+            or response.target != expected_target):
         return False
     return verify_graph_homomorphism(response)
 
@@ -341,73 +353,76 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
 # protocol driver
 
 
+def scheme_steps(public: tuple, commit_size: int | None = None):
+    """The round rules of the scheme of ``public``, a public key as ``parse_public_key``
+    returns it: ``commit(bit, seed)`` (a commitment and the session map that answers
+    challenge ``bit``), ``respond(state, key)`` (the honest answer), ``junk(commitment, c,
+    rng)`` (a random answer to challenge ``c``) and ``verify(commitment, c, response)``.
+    It looks the ``hom_*``/``sub_*`` functions up when called. ``commit_size`` sets the
+    ``hom`` commitment size (default: g1's plus 2); ``sub`` commitments have the subset's
+    size, so there it raises AuthError."""
+    if public[0] == "hom":
+        targets = public[1:]
+        size = commit_size if commit_size is not None else len(targets[0].vertices) + 2
+
+        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, VertexMap]:
+            return hom_commit(targets[bit], size, seed)
+
+        def junk(commitment: SimplicialGraph, c: int, rng: random.Random) -> VertexMap:
+            images = _random_images(targets[c], len(commitment.vertices), rng)
+            return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
+
+        return commit, hom_respond, junk, partial(hom_verify, *targets)
+    if commit_size is not None:
+        raise AuthError("commit size applies to scheme 'hom' only")
+    ambient, *subsets = public[1:]
+
+    def commit(bit: int, seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
+        return sub_commit(ambient, subsets[bit], seed)
+
+    def junk(commitment: SimplicialGraph, c: int, rng: random.Random) -> dict[str, str]:
+        members = list(subsets[c].ordered())
+        rng.shuffle(members)
+        return dict(zip(commitment.vertices, members))
+
+    return commit, sub_respond, junk, partial(sub_verify, *public[1:])
+
+
 def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strategy: str,
                  prover_seed: int, verifier_seed: int, *,
                  commit_size: int | None = None,
                  stop_on_reject: bool = False) -> Transcript:
     """Execute ``rounds`` independent rounds and return the transcript.
 
-    The scheme fixes three steps once, before the rounds: ``commit(bit)``
-    (a commitment plus the session map that answers challenge ``bit``),
-    ``junk`` (a random answer of the right shape) and ``verify``. Each
-    round then commits (for challenge 0 when honest, for the guess when
-    cheating), draws the challenge, responds and verifies. Only the
-    honest prover responds with the private key; a cheater answers with
-    its session map or, after a wrong guess, junk, so cheating
-    strategies never touch the private key.
+    The rounds run the scheme's steps from ``scheme_steps``, fixed once before
+    the rounds: ``commit``, ``respond``, ``junk`` and ``verify``. Each round
+    commits (for challenge 0 when honest, for the guess when cheating), draws
+    the challenge, responds and verifies. Only the honest prover responds with
+    the private key; a cheater answers with its session map or, after a wrong
+    guess, junk, so cheating strategies never touch the private key.
 
     Challenge bits come from the verifier's seeded source, everything
     else from the prover's, so a run is deterministic in the two seeds.
     With ``stop_on_reject`` the run ends at the first rejected round (the
     overall accept value is unaffected; Monte Carlo callers use this).
-    ``commit_size`` sets the ``hom`` commitment size (default: g1's plus 2); a
-    ``sub`` commitment has the subset's size, so there it raises AuthError.
+    ``commit_size`` is ``scheme_steps``'s.
     """
     if rounds < 1:
         raise AuthError("need at least one round")
     if strategy not in STRATEGIES:
         raise AuthError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    if not isinstance(key, KEY_PAIRS.get(scheme, ())):
+        raise AuthError(f"a {type(key).__name__} is not a key of scheme {scheme!r}")
+    commit, respond, junk, verify = scheme_steps((scheme, *key._values()[:-1]), commit_size)
     prng = random.Random(prover_seed)
     vrng = random.Random(verifier_seed)
     honest = strategy == "honest"
     fixed_guess = 1 if strategy == "cheat-guess-1" else 0
-    if scheme == "hom":
-        if not isinstance(key, HomKeyPair):
-            raise AuthError("scheme 'hom' needs a HomKeyPair")
-        targets = (key.g1, key.g2)
-        size = commit_size if commit_size is not None else len(key.g1.vertices) + 2
-
-        def commit(bit: int) -> tuple[SimplicialGraph, VertexMap]:
-            return hom_commit(targets[bit], size, prng.getrandbits(64))
-
-        def junk(commitment: SimplicialGraph, c: int) -> VertexMap:
-            images = _random_images(targets[c], len(commitment.vertices), prng)
-            return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
-
-        respond, verify = hom_respond, partial(hom_verify, key.g1, key.g2)
-    elif scheme == "sub":
-        if not isinstance(key, SubKeyPair):
-            raise AuthError("scheme 'sub' needs a SubKeyPair")
-        if commit_size is not None:
-            raise AuthError("commit size applies to scheme 'hom' only")
-        subsets = (key.s1, key.s2)
-
-        def commit(bit: int) -> tuple[SimplicialGraph, dict[str, str]]:
-            return sub_commit(key.ambient, subsets[bit], prng.getrandbits(64))
-
-        def junk(commitment: SimplicialGraph, c: int) -> dict[str, str]:
-            members = list(subsets[c].ordered())
-            prng.shuffle(members)
-            return dict(zip(commitment.vertices, members))
-
-        respond, verify = sub_respond, partial(sub_verify, key.ambient, key.s1, key.s2)
-    else:
-        raise AuthError(f"unknown scheme {scheme!r}")
     states: list[RoundState] = []
     accept = True
     for _ in range(rounds):
         guess = prng.getrandbits(1) if strategy == "cheat-random" else fixed_guess
-        commitment, session = commit(guess)
+        commitment, session = commit(guess, prng.getrandbits(64))
         state = RoundState(commitment=commitment, session=session,
                            challenge=vrng.getrandbits(1))
         if honest:
@@ -415,7 +430,7 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
         elif state.challenge == guess:
             state.response = session
         else:
-            state.response = junk(commitment, state.challenge)
+            state.response = junk(commitment, state.challenge, prng)
         state.verdict = verify(commitment, state.challenge, state.response)
         states.append(state)
         if not state.verdict:

@@ -27,7 +27,6 @@ from .graphs import (
     format_map_lines,
     parse_graph,
     parse_map_lines,
-    parse_vertex_map,
     random_graph,
     read_graph_text,
     validate_graph,
@@ -229,24 +228,19 @@ def cmd_auth_keygen(args) -> int:
 def _load_key(public_path: str, private_path: str):
     public = auth.parse_public_key(_read(public_path))
     alpha = auth.parse_private_key(_read(private_path), public)
-    if public[0] == "hom":
-        return auth.HomKeyPair(g1=public[1], g2=public[2], alpha=alpha)
-    return auth.SubKeyPair(ambient=public[1], s1=public[2], s2=public[3], alpha=alpha)
+    return auth.KEY_PAIRS[public[0]](*public[1:], alpha)
 
 
 def cmd_auth_prove(args) -> int:
     key = _load_key(args.public, args.private)
-    scheme = "hom" if isinstance(key, auth.HomKeyPair) else "sub"
-    transcript = auth.run_protocol(scheme, key, args.rounds, "honest",
+    transcript = auth.run_protocol(key.scheme, key, args.rounds, "honest",
                                    prover_seed=args.seed,
                                    verifier_seed=args.challenge_seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, state in enumerate(transcript.rounds, start=1):
         _write(out / f"round{i}_commitment.txt", format_graph(state.commitment))
-        response = state.response
-        if isinstance(response, auth.VertexMap):
-            response = response.assignment
+        response = getattr(state.response, "assignment", state.response)  # a hom VertexMap
         _write(out / f"round{i}_response.txt",
                format_map_lines(response, state.commitment.vertices))
     _write(out / "transcript.txt", auth.format_transcript(transcript))
@@ -264,23 +258,16 @@ def cmd_auth_verify(args) -> int:
         print(f"reject: transcript has {len(rounds)} rounds, verifier requires {args.rounds}")
         print("accept false")
         return EXIT_NEGATIVE
+    *_, verify = auth.scheme_steps(public)
+    # every round file is read before the first verdict, so a missing one prints nothing
+    messages = [(_read(Path(args.dir) / f"round{i}_commitment.txt"),
+                 _read(Path(args.dir) / f"round{i}_response.txt")) for i, _, _ in rounds]
     all_ok = True
-    for i, challenge, _ in rounds:
-        commitment = parse_graph(_read(Path(args.dir) / f"round{i}_commitment.txt"))
-        response_text = _read(Path(args.dir) / f"round{i}_response.txt")
-        verdict = False
+    for (i, challenge, _), (commitment, response) in zip(rounds, messages):
         try:
-            if public[0] == "hom":
-                _, g1, g2 = public
-                target = g1 if challenge == 0 else g2
-                response = parse_vertex_map(response_text, commitment, target)
-                verdict = auth.hom_verify(g1, g2, commitment, challenge, response)
-            else:
-                _, ambient, s1, s2 = public
-                response = parse_map_lines(response_text)
-                verdict = auth.sub_verify(ambient, s1, s2, commitment, challenge, response)
-        except (GraphError, auth.AuthError):
-            verdict = False  # malformed response is a rejection, not an error
+            verdict = verify(parse_graph(commitment), challenge, parse_map_lines(response))
+        except GraphError:
+            verdict = False  # both are the prover's messages: malformed is a rejection
         all_ok = all_ok and verdict
         print(f"round {i} challenge {challenge} verdict {'accept' if verdict else 'reject'}")
     print(f"accept {'true' if all_ok else 'false'}")

@@ -117,12 +117,10 @@ def _label_index(vertices: tuple[str, ...]) -> dict[str, int]:
     """Each label's position, once the labels pass the check (else GraphError). Memoized:
     every commitment reuses ``c0``.. or ``g0``..; a failure is never cached, and the
     graphs that share a dict never mutate it."""
-    index = {v: i for i, v in enumerate(vertices)}
-    text = " ".join(map(str, vertices))
-    # an empty, non-string or whitespace label splits differently
-    if text.split() != list(vertices) or "#" in text or "^" in text or len(index) != len(vertices):
-        raise GraphError("; ".join(validate_graph(vertices, ())))
-    return index
+    violations = validate_graph(vertices, ())
+    if violations:
+        raise GraphError("; ".join(violations))
+    return {v: i for i, v in enumerate(vertices)}
 
 
 class SimplicialGraph:

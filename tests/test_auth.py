@@ -152,6 +152,28 @@ class TestHomRound:
         with pytest.raises(AuthError):
             hom_verify(key.g1, key.g2, commitment, 2, beta)
 
+    def test_plain_map_gives_the_same_verdict(self):
+        key = hom_keygen(8, 8, 11)
+        checked = {True: 0, False: 0}
+        for strategy in ("honest", "cheat-random"):
+            for seed in range(6):
+                for r in run_protocol("hom", key, 12, strategy, seed, 40 + seed).rounds:
+                    plain = r.response.assignment
+                    verdict = hom_verify(key.g1, key.g2, r.commitment, r.challenge, plain)
+                    assert verdict == hom_verify(key.g1, key.g2, r.commitment, r.challenge,
+                                                 r.response) == r.verdict
+                    checked[r.verdict] += 1
+                    first = r.commitment.vertices[0]
+                    bad_maps = [
+                        (r.challenge, {v: plain[v] for v in plain if v != first}),  # missing
+                        (r.challenge, {**plain, "stranger": plain[first]}),  # unknown source
+                        (r.challenge, {**plain, first: "stranger"}),  # unknown image
+                        (1 - r.challenge, plain),  # a map into the other target
+                    ]
+                    for c, bad in bad_maps:
+                        assert hom_verify(key.g1, key.g2, r.commitment, c, bad) is False
+        assert checked[True] > 0 and checked[False] > 0
+
 
 class TestSubKeygen:
     def test_private_key_verifies(self):
@@ -504,6 +526,14 @@ class TestKeyFiles:
         assert public[3].members == key.s2.members
         alpha = parse_private_key(format_private_key(key), public)
         assert alpha == key.alpha
+
+    def test_key_pair_rebuilt_from_its_files(self):
+        # a key pair's fields are the public key after the scheme name, then alpha
+        for key in (hom_keygen(6, 7, 21), sub_keygen(12, 5, 21)):
+            public = parse_public_key(format_public_key(key))
+            alpha = parse_private_key(format_private_key(key), public)
+            assert key.scheme == public[0]
+            assert auth.KEY_PAIRS[public[0]](*public[1:], alpha) == key
 
     def test_public_key_errors(self):
         with pytest.raises(AuthError):

@@ -10,6 +10,7 @@ under test: 0 success/accept, 1 semantic negative, 2 usage or format
 error.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -328,6 +329,37 @@ class TestAuthCommands:
                              "--dir", str(run_dir))
         assert code == 2 and "accept true" not in out and "expected round 2" in err
 
+    @pytest.mark.parametrize("scheme", ["hom", "sub"])
+    def test_malformed_commitment_is_a_rejected_round(self, capsys, tmp_path, scheme):
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        public = str(key_dir / "public_key.txt")
+        run(capsys, "auth", "keygen", "--scheme", scheme, "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", public,
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "3",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        (run_dir / "round2_commitment.txt").write_text("vertices c0 c1\nedge c0 c0\n")
+        code, out, err = run(capsys, "auth", "verify", "--public", public,
+                             "--dir", str(run_dir), "--rounds", "3")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert [line.split()[-1] for line in lines] == ["accept", "reject", "accept", "false"]
+        assert [line.split()[:2] for line in lines[:3]] == [["round", "1"], ["round", "2"],
+                                                           ["round", "3"]]
+
+    def test_missing_round_file_prints_no_verdict(self, capsys, tmp_path):
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        public = str(key_dir / "public_key.txt")
+        run(capsys, "auth", "keygen", "--scheme", "hom", "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", public,
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "3",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        (run_dir / "round3_response.txt").unlink()
+        code, out, err = run(capsys, "auth", "verify", "--public", public,
+                             "--dir", str(run_dir), "--rounds", "3")
+        assert code == 2 and out == "" and "round3_response.txt" in err
+
     def test_simulate_prints_rate(self, capsys):
         code, out, _ = run(capsys, "auth", "simulate", "--scheme", "sub", "--strategy",
                            "cheat-guess-0", "--rounds", "1", "--trials", "400", "--seed", "3")
@@ -382,6 +414,62 @@ class TestAuthCommands:
     def test_simulate_requires_seed(self, capsys):
         assert run(capsys, "auth", "simulate", "--scheme", "sub", "--strategy", "honest",
                    "--rounds", "1", "--trials", "10")[0] == 2
+
+
+class TestAuthCliGolden:
+    # a digest over the files, stdout, stderr and exit code of every auth command on
+    # both schemes: a change to how the CLI reaches the round rules leaves it as is
+    DIGEST = "d0ad7a2b9410b149f01db5c5a2d60ce1f058066f42b808b8aff8059885bee10b"
+
+    def test_auth_cli_output_is_pinned(self, capsys, tmp_path):
+        h = hashlib.sha256()
+
+        def add(text):
+            h.update(text.replace(str(tmp_path), "<tmp>").encode())
+            h.update(b"\0")
+
+        def call(*argv):
+            code, out, err = run(capsys, *argv)
+            for text in (str(code), out, err):
+                add(text)
+
+        def tamper(path, edit):
+            lines = path.read_text().splitlines()
+            edit(lines)
+            path.write_text("".join(line + "\n" for line in lines))
+
+        def swap_images(lines):
+            first, second = lines[0].split(), lines[1].split()
+            first[2], second[2] = second[2], first[2]
+            lines[0], lines[1] = " ".join(first), " ".join(second)
+
+        def unknown_image(lines):
+            lines[-1] = " ".join(lines[-1].split()[:2] + ["nowhere"])
+
+        for scheme in ("hom", "sub"):
+            for seed in ("1", "7", "42"):
+                key_dir, run_dir = tmp_path / f"{scheme}{seed}", tmp_path / f"run{scheme}{seed}"
+                public = str(key_dir / "public_key.txt")
+                call("auth", "keygen", "--scheme", scheme, "--seed", seed,
+                     "--out-dir", str(key_dir))
+                call("auth", "prove", "--public", public,
+                     "--private", str(key_dir / "private_key.txt"), "--rounds", "4",
+                     "--seed", seed, "--challenge-seed", seed + "0", "--out-dir", str(run_dir))
+                for path in sorted(key_dir.iterdir()) + sorted(run_dir.iterdir()):
+                    add(path.name)
+                    add(path.read_text())
+                call("auth", "verify", "--public", public, "--dir", str(run_dir),
+                     "--rounds", "4")
+                call("auth", "verify", "--public", public, "--dir", str(run_dir))
+                tamper(run_dir / "round1_response.txt", swap_images)
+                tamper(run_dir / "round2_response.txt", unknown_image)
+                tamper(run_dir / "round3_response.txt", lambda lines: lines.pop(0))
+                call("auth", "verify", "--public", public, "--dir", str(run_dir),
+                     "--rounds", "4")
+                for strategy in ("honest", "cheat-guess-0", "cheat-guess-1", "cheat-random"):
+                    call("auth", "simulate", "--scheme", scheme, "--strategy", strategy,
+                         "--rounds", "3", "--trials", "20", "--seed", seed)
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestBenchCommand:
