@@ -161,7 +161,7 @@ def _random_images(target: SimplicialGraph, count: int, rng: random.Random) -> l
     targets = target.vertices
     if not targets:
         raise AuthError("target graph must have at least one vertex")
-    return [targets[rng.randrange(len(targets))] for _ in range(count)]
+    return [targets[rng._randbelow(len(targets))] for _ in range(count)]  # randrange's draw
 
 
 @lru_cache(maxsize=64)
@@ -248,10 +248,14 @@ def hom_verify(g1: SimplicialGraph, g2: SimplicialGraph,
     graph into g1 (challenge 0) or g2 (challenge 1).
 
     Target correctness means codomain identity, not surjectivity. A plain map is read
-    from the commitment into the challenged target. Malformed responses are rejected.
+    from the commitment into the challenged target. Malformed responses are rejected,
+    and so is an empty commitment: ``hom_commit`` never builds one, and the empty map
+    from it is a homomorphism into any graph.
     """
     if challenge not in (0, 1):
         raise AuthError(f"challenge must be 0 or 1, got {challenge!r}")
+    if not commitment.vertices:
+        return False
     expected_target = g1 if challenge == 0 else g2
     if isinstance(response, Mapping):
         try:

@@ -441,18 +441,14 @@ def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[in
     ``masks[i]`` is set and with ``off[c]`` when it is not, and prunes the
     branch as soon as one is empty. Candidates come straight from the
     domain, lowest bit first, so they never need re-checking against
-    assigned positions. Nothing is built up front: the first time
-    position ``i`` is chosen its bits are read off ``masks[i]``; the
-    second time a 0/1 row over all positions is built and kept, so a
-    short search pays for no table and a long one reads a kept row at
-    each node. One budget node is one attempted assignment; exceeding
+    assigned positions. No table is kept across nodes: each candidate's
+    child domains are read straight off ``masks[i]``, the chosen
+    position's mask. One budget node is one attempted assignment; exceeding
     ``budget`` raises SearchBudgetExceeded. Returns a list holding each
     position's candidate at its index, or ``None`` once the space is
     exhausted, and the number of nodes used.
     """
-    n = max(domains, default=-1) + 1
-    rows: dict[int, list[int]] = {}  # [] after a position's first choice, then its full row
-    assigned = [0] * n
+    assigned = [0] * (max(domains, default=-1) + 1)
     nodes = 0
 
     def extend(free: list[int], domains: list[int]) -> bool:
@@ -463,14 +459,7 @@ def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[in
         k = sizes.index(min(sizes))
         i, dom = free[k], domains[k]
         free, rest = free[:k] + free[k + 1:], domains[:k] + domains[k + 1:]
-        m, full = masks[i], rows.get(i)
-        if full is None:
-            rows[i] = []
-            row = [m >> j & 1 for j in free]
-        else:
-            if not full:
-                full = rows[i] = [m >> j & 1 for j in range(n)]
-            row = [full[j] for j in free]
+        m = masks[i]
         while dom:
             low = dom & -dom
             dom ^= low
@@ -479,7 +468,7 @@ def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[in
                 raise SearchBudgetExceeded(f"{problem} search exceeded {budget} nodes")
             c = low.bit_length() - 1
             yes, no = on[c], off[c]
-            child = [d & (yes if r else no) for d, r in zip(rest, row)]
+            child = [d & (yes if m >> j & 1 else no) for d, j in zip(rest, free)]
             if all(child):
                 assigned[i] = c
                 if extend(free, child):

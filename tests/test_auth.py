@@ -152,6 +152,13 @@ class TestHomRound:
         with pytest.raises(AuthError):
             hom_verify(key.g1, key.g2, commitment, 2, beta)
 
+    def test_empty_commitment_rejected(self):
+        # the empty map is a homomorphism into any graph, so it proves nothing
+        key = hom_keygen(8, 8, 11)
+        empty = SimplicialGraph(())
+        for c in (0, 1):
+            assert hom_verify(key.g1, key.g2, empty, c, {}) is False
+
     def test_plain_map_gives_the_same_verdict(self):
         key = hom_keygen(8, 8, 11)
         checked = {True: 0, False: 0}
@@ -445,6 +452,23 @@ class TestKeyInvariants:
             SubKeyPair(ambient=key.ambient, s1=key.s1,
                        s2=auth.VertexSubset(key.ambient, list(key.s2.ordered())[:-1]),
                        alpha=bad)
+
+
+class TestBipartiteCheater:
+    """ROADMAP item 11's open hole, pinned: a complete bipartite commitment maps
+    into any graph with an edge, one side to each end. A fix flips this test."""
+
+    def test_complete_bipartite_commitment_answers_both_challenges(self):
+        left, right = [f"c{i}" for i in range(5)], [f"c{i}" for i in range(5, 10)]
+        commitment = SimplicialGraph(left + right, [(u, v) for u in left for v in right])
+        accepted = 0
+        for seed in range(1, 11):
+            key = hom_keygen(8, 8, seed)  # only the public graphs are read
+            for c, target in enumerate((key.g1, key.g2)):
+                a, b = target.edge_list()[0]
+                response = {**dict.fromkeys(left, a), **dict.fromkeys(right, b)}
+                accepted += hom_verify(key.g1, key.g2, commitment, c, response)
+        assert accepted == 20
 
 
 class TestKeyRecovery:

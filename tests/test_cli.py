@@ -347,6 +347,26 @@ class TestAuthCommands:
         assert [line.split()[:2] for line in lines[:3]] == [["round", "1"], ["round", "2"],
                                                            ["round", "3"]]
 
+    def test_empty_hom_commitments_are_rejected_rounds(self, capsys, tmp_path):
+        # an empty commitment takes the empty map into either target: no proof
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        public = str(key_dir / "public_key.txt")
+        run(capsys, "auth", "keygen", "--scheme", "hom", "--seed", "5",
+            "--out-dir", str(key_dir))
+        run_dir.mkdir()
+        rounds = ((1, 0), (2, 1), (3, 0))
+        for i, _ in rounds:
+            (run_dir / f"round{i}_commitment.txt").write_text("vertices\n")
+            (run_dir / f"round{i}_response.txt").write_text("")
+        (run_dir / "transcript.txt").write_text(
+            "".join(f"round {i} challenge {c} verdict accept\n" for i, c in rounds)
+            + "accept true\n")
+        code, out, err = run(capsys, "auth", "verify", "--public", public,
+                             "--dir", str(run_dir), "--rounds", "3")
+        assert code == 1 and err == ""
+        assert out.splitlines() == [f"round {i} challenge {c} verdict reject"
+                                    for i, c in rounds] + ["accept false"]
+
     def test_missing_round_file_prints_no_verdict(self, capsys, tmp_path):
         key_dir, run_dir = tmp_path / "key", tmp_path / "run"
         public = str(key_dir / "public_key.txt")
