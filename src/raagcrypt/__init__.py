@@ -17,7 +17,6 @@ from .graphs import (
     find_graph_homomorphism,
     find_induced_subgraph_isomorphism,
     induced_subgraph,
-    is_full_subgraph,
     parse_graph,
     format_graph,
     random_graph,
@@ -29,16 +28,12 @@ from .raag import (
     OracleBoundError,
     Piling,
     Raag,
-    SpecialSubgroup,
-    are_equal,
     empty_piling,
     is_trivial,
     oracle_is_trivial,
-    presentation_text,
     push_letter,
     sample_nontrivial_word,
     sample_trivial_word,
-    verify_generator_homomorphism,
 )
 from .words import (
     Letter,

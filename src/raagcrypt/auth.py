@@ -6,10 +6,14 @@ first public object; the verifier sends a random bit c; the prover
 reveals beta (c = 0) or the composite of beta with the long-term private
 key alpha (c = 1); the verifier checks the revealed map against the
 public data. A cheater who prepared for only one challenge value
-survives a round with probability 1/2, so r rounds drive the soundness
-error to 2^-r. ``scheme_steps`` owns each scheme's round rules (commit,
-respond, junk answer, verify); ``run_protocol`` runs every prover strategy
-through them, and ``raagcrypt auth verify`` re-checks recorded rounds.
+survives a round with probability 1/2, so r rounds hold it to 2^-r.
+Neither scheme holds every cheater to that: a complete bipartite "hom"
+commitment maps into any graph with an edge and answers both challenges
+without alpha, and the induced search recovers a "sub" alpha from the
+public key alone in milliseconds (see the README). ``scheme_steps``
+owns each scheme's round rules (commit, respond, junk answer, verify);
+``run_protocol`` runs every prover strategy through them, and
+``raagcrypt auth verify`` re-checks recorded rounds.
 
 Scheme "hom": public key is a pair of graphs; alpha is a strict graph
 homomorphism between them. Keys and commitments are planted: instances

@@ -33,7 +33,6 @@ __all__ = [
     "VertexMap",
     "validate_graph",
     "induced_subgraph",
-    "is_full_subgraph",
     "verify_graph_homomorphism",
     "find_graph_homomorphism",
     "verify_induced_subgraph_isomorphism",
@@ -45,8 +44,6 @@ __all__ = [
     "parse_graph",
     "format_map_lines",
     "parse_map_lines",
-    "format_vertex_map",
-    "parse_vertex_map",
 ]
 
 
@@ -400,20 +397,6 @@ def induced_subgraph(g: SimplicialGraph, s) -> SimplicialGraph:
     return SimplicialGraph._trusted(vertices, g._induced_masks(vertices))
 
 
-def is_full_subgraph(g: SimplicialGraph, sub: SimplicialGraph) -> bool:
-    """True iff ``sub`` contains every edge of ``g`` between its vertices.
-
-    Full subgraphs (also called induced or spanning) are exactly the
-    subgraphs whose vertex sets generate special subgroups of the
-    associated right-angled Artin group.
-    """
-    _subset_members(g, sub.vertices)  # raises on a vertex outside g
-    extra = [e for e in sub.edge_list() if not g.has_edge(*e)]
-    if extra:
-        raise GraphError(f"edge {extra[0]!r} is not an edge of the ambient graph")
-    return sub.adjacency_masks() == g._induced_masks(sub.vertices)
-
-
 def verify_graph_homomorphism(f: VertexMap) -> bool:
     """Strict edge check: every source edge maps to a target edge.
 
@@ -669,11 +652,3 @@ def parse_map_lines(text: str) -> dict[str, str]:
             raise GraphError(f"line {lineno}: repeated source vertex {fields[1]!r}")
         assignment[fields[1]] = fields[2]
     return assignment
-
-
-def format_vertex_map(f: VertexMap) -> str:
-    return format_map_lines(f.assignment, f.source.vertices)
-
-
-def parse_vertex_map(text: str, source: SimplicialGraph, target: SimplicialGraph) -> VertexMap:
-    return VertexMap(source, target, parse_map_lines(text))

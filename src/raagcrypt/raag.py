@@ -30,23 +30,19 @@ from itertools import repeat, starmap
 from math import trunc
 from operator import mul
 
-from .graphs import Record, SimplicialGraph, VertexMap, VertexSubset, induced_subgraph
-from .words import Letter, Word, WordError, exponent_sums, free_reduce, invert, letter
+from .graphs import Record, SimplicialGraph
+from .words import Letter, Word, WordError, exponent_sums, free_reduce, letter
 
 __all__ = [
     "Raag",
-    "SpecialSubgroup",
     "Piling",
     "OracleBoundError",
     "empty_piling",
     "push_letter",
     "is_trivial",
-    "are_equal",
     "oracle_is_trivial",
     "sample_trivial_word",
     "sample_nontrivial_word",
-    "verify_generator_homomorphism",
-    "presentation_text",
 ]
 
 # When true, every trivial verdict from is_trivial is re-checked against
@@ -82,22 +78,6 @@ class Raag:
 
     def __repr__(self) -> str:
         return f"Raag({self.graph!r})"
-
-
-class SpecialSubgroup(Record):
-    """Subgroup generated by a subset of the standard generators.
-
-    Presented by the induced subgraph on its generating set, which is
-    automatically a full subgraph.
-    """
-
-    __slots__ = ("parent", "generators")
-
-    def __init__(self, parent: Raag, generators: VertexSubset):
-        self._set(parent, generators)
-
-    def presentation(self) -> Raag:
-        return Raag(induced_subgraph(self.parent.graph, self.generators))
 
 
 class Piling(Record):
@@ -218,11 +198,6 @@ def is_trivial(g: Raag, w: Word) -> bool:
         assert not any(exponent_sums(w).values()), \
             "trivial verdict with nonzero exponent sum"
     return verdict
-
-
-def are_equal(g: Raag, w1: Word, w2: Word) -> bool:
-    """Whether two words represent the same group element."""
-    return is_trivial(g, w1 + invert(w2))
 
 
 def oracle_is_trivial(g: Raag, w: Word, max_reduced_length: int = 14) -> bool:
@@ -368,33 +343,3 @@ def sample_nontrivial_word(g: Raag, target_length: int, seed: int) -> Word:
     if target_length <= 0:
         raise ValueError("target length must be positive")
     return _sample(g.graph, seed, target_length - target_length % 2, True)
-
-
-def presentation_text(g: SimplicialGraph | Raag) -> str:
-    """The group presentation a graph stands for: one generator per
-    vertex, one commutator relator per edge.
-
-    Lets any public key or commitment graph be read in group language,
-    e.g. ``< a, b, c | [a,b], [b,c] >``.
-    """
-    graph = g.graph if isinstance(g, Raag) else g
-    gens = ", ".join(graph.vertices)
-    relators = ", ".join(f"[{u},{v}]" for u, v in graph.edge_list())
-    return f"< {gens} | {relators} >" if relators else f"< {gens} | >"
-
-
-def verify_generator_homomorphism(f: VertexMap) -> bool:
-    """Relaxed check: does the vertex assignment extend to a group
-    homomorphism between the associated RAAGs?
-
-    For every source edge the images must be equal or adjacent; either
-    way the image of the defining commutator is the identity. Strict
-    graph homomorphisms pass a fortiori.
-    """
-    assignment = f.assignment
-    target = f.target
-    for u, v in f.source.edge_list():
-        fu, fv = assignment[u], assignment[v]
-        if fu != fv and not target.has_edge(fu, fv):
-            return False
-    return True

@@ -577,6 +577,8 @@ class TestKeyFiles:
         text = format_private_key(key).splitlines()
         with pytest.raises(AuthError):
             parse_private_key("\n".join(text[:-1]), public)  # not onto s2
+        with pytest.raises(AuthError, match="expected 'map <source> <target>'"):
+            parse_private_key("\n".join([text[0] + " extra", *text[1:]]), public)
 
     def test_private_key_rejects_repeated_sub_line(self):
         key = sub_keygen(12, 5, 21)

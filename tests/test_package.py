@@ -1,0 +1,36 @@
+"""The package's public surface: every name a module exports exists, the
+package imports in a fresh interpreter, and the README's library example
+runs and prints what its comments say."""
+
+import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import raagcrypt
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("module", ["graphs", "raag", "words", "auth", "sharing", "bench"])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"raagcrypt.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_imports_in_a_fresh_interpreter():
+    root = str(Path(raagcrypt.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {root!r}); import raagcrypt"
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Library example\n+```python\n(.*?)^```", text, re.M | re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out == "True\nFalse\n"

@@ -25,7 +25,7 @@ from raagcrypt.auth import (
 )
 from raagcrypt.bench import BenchPoint, BenchResult
 from raagcrypt.graphs import GraphError, SimplicialGraph, VertexMap, VertexSubset
-from raagcrypt.raag import Piling, Raag, SpecialSubgroup
+from raagcrypt.raag import Piling
 from raagcrypt.sharing import DealerSetupNN, ShamirSetup, ShareNN, ShareTN, SharingError
 
 # a triangle a-b-c and an isolated d
@@ -39,7 +39,6 @@ WORDS = ((("a", 1), ("a", -1)), (("b", 1),))
 RECORDS = [
     (VertexSubset, ("parent", "members"), (G, frozenset({"a", "b"})), True),
     (VertexMap, ("source", "target", "assignment"), (P2, G, {"x": "a", "y": "b"}), True),
-    (SpecialSubgroup, ("parent", "generators"), (Raag(G), VertexSubset(G, ["a", "c"])), True),
     (Piling, ("stacks",), (((), (1, 2), (), ()),), True),
     (HomKeyPair, ("g1", "g2", "alpha"), (HOM.g1, HOM.g2, HOM.alpha), True),
     (SubKeyPair, ("ambient", "s1", "s2", "alpha"), (SUB.ambient, SUB.s1, SUB.s2, SUB.alpha),
@@ -162,8 +161,6 @@ def test_record_conveniences():
     f = VertexMap(P2, G, {"x": "a", "y": "b"})
     assert f("y") == "b"
     assert f.compose(VertexMap(G, G, {v: v for v in G.vertices})) == f
-    assert SpecialSubgroup(Raag(G), VertexSubset(G, ["a", "c"])).presentation().graph \
-        == SimplicialGraph(("a", "c"), [("a", "c")])
     assert Piling(((), ())).is_empty() and not Piling(((1,), ())).is_empty()
     assert BenchPoint(1, (0.25, 0.75)).mean == 0.5
     assert ShamirSetup(11, 2, 3, 4, 5, (5, 3)).evaluate(2) == 0
