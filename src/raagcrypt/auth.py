@@ -174,22 +174,22 @@ def _labels(prefix: str, count: int) -> tuple[str, ...]:
 
 
 def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
-                    rng: random.Random,
-                    keep_prob: float = COMMIT_KEEP_PROB) -> tuple[SimplicialGraph, VertexMap]:
-    """A fresh graph on one vertex per image, plus the strict homomorphism
-    sending vertex i to ``images[i]`` in ``target``.
+                    rng: random.Random, keep_prob: float = COMMIT_KEEP_PROB,
+                    ) -> tuple[SimplicialGraph, dict[str, str]]:
+    """A fresh graph on one vertex per image, plus the map sending vertex i
+    to ``images[i]`` in ``target``: ``hom_keygen``'s g1 and every commitment.
 
     Candidate edges are exactly the pairs whose images are adjacent, kept
-    independently with ``keep_prob``, so the map verifies by construction.
-    At ``keep_prob`` 1 all are kept with no draw from ``rng``; both callers
-    drop ``rng`` after this call, so that changes no output byte.
+    independently with ``keep_prob``, so the map is a strict homomorphism by
+    construction, and an induced isomorphism when the images are distinct
+    and all edges are kept. At ``keep_prob`` 1 there is no draw from ``rng``;
+    all three callers drop ``rng`` after this call, so that changes no output byte.
     """
     vertices = _labels(prefix, len(images))
     masks = target._induced_masks(images)
     if keep_prob < 1:
         masks = _keep_edges(masks, keep_prob, rng)
-    graph = SimplicialGraph._trusted(vertices, masks)
-    return graph, VertexMap(graph, target, dict(zip(vertices, images)))
+    return SimplicialGraph._trusted(vertices, masks), dict(zip(vertices, images))
 
 
 def hom_keygen(n1: int, n2: int, seed: int,
@@ -216,7 +216,7 @@ def hom_keygen(n1: int, n2: int, seed: int,
     # supply near g2's, so key quality does not collapse on unlucky seeds
     images = rng.sample(g2_vertices, n1) if n1 <= n2 else _random_images(g2, n1, rng)
     g1, alpha = _pullback_graph(g2, images, "a", rng, keep_prob)
-    return HomKeyPair(g1=g1, g2=g2, alpha=alpha)
+    return HomKeyPair(g1=g1, g2=g2, alpha=VertexMap(g1, g2, alpha))
 
 
 def hom_commit(target: SimplicialGraph, size: int,
@@ -231,7 +231,8 @@ def hom_commit(target: SimplicialGraph, size: int,
     if size < 1:
         raise AuthError("commitment size must be at least 1")
     rng = random.Random(seed)
-    return _pullback_graph(target, _random_images(target, size, rng), "c", rng)
+    graph, beta = _pullback_graph(target, _random_images(target, size, rng), "c", rng)
+    return graph, VertexMap(graph, target, beta)
 
 
 def hom_respond(state: RoundState, key: HomKeyPair) -> VertexMap:
@@ -309,23 +310,15 @@ def sub_keygen(ambient_size: int, subgroup_size: int, seed: int,
     )
 
 
-def _relabel_induced(ambient: SimplicialGraph, subset: VertexSubset,
-                     rng: random.Random) -> tuple[SimplicialGraph, dict[str, str]]:
-    members = subset.ordered()
-    m = len(members)
-    perm = list(range(m))
-    rng.shuffle(perm)
-    vertices = _labels("g", m)
-    beta = {vertices[i]: members[perm[i]] for i in range(m)}
-    return SimplicialGraph._trusted(vertices, ambient._induced_masks(beta.values())), beta
-
-
 def sub_commit(ambient: SimplicialGraph, subset: VertexSubset,
                seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
-    """Fresh relabeling G of the induced subgraph on any subset (s1 for an
-    honest prover), with the relabeling bijection beta: V(G) -> subset
-    withheld."""
-    return _relabel_induced(ambient, subset, random.Random(seed))
+    """Fresh relabeling G of the induced subgraph on any subset (s1 for an honest
+    prover): ``ambient`` pulled back along the members, shuffled by ``random.Random(seed)``.
+    The relabeling bijection beta: V(G) -> subset is withheld."""
+    members = list(subset.ordered())
+    rng = random.Random(seed)
+    rng.shuffle(members)
+    return _pullback_graph(ambient, members, "g", rng)
 
 
 def sub_respond(state: RoundState, key: SubKeyPair) -> dict[str, str]:

@@ -256,22 +256,22 @@ def cmd_auth_verify(args) -> int:
     if args.rounds is not None and len(rounds) != args.rounds:
         # the soundness error 2^-r is the verifier's to fix, not the transcript's
         print(f"reject: transcript has {len(rounds)} rounds, verifier requires {args.rounds}")
-        print("accept false")
+        sys.stdout.write(auth.format_transcript(auth.Transcript(public[0], (), False)))
         return EXIT_NEGATIVE
     *_, verify = auth.scheme_steps(public)
     # every round file is read before the first verdict, so a missing one prints nothing
     messages = [(_read(Path(args.dir) / f"round{i}_commitment.txt"),
                  _read(Path(args.dir) / f"round{i}_response.txt")) for i, _, _ in rounds]
-    all_ok = True
-    for (i, challenge, _), (commitment, response) in zip(rounds, messages):
+    states = []
+    for (_, challenge, _), (commitment, response) in zip(rounds, messages):
         try:
             verdict = verify(parse_graph(commitment), challenge, parse_map_lines(response))
         except GraphError:
             verdict = False  # both are the prover's messages: malformed is a rejection
-        all_ok = all_ok and verdict
-        print(f"round {i} challenge {challenge} verdict {'accept' if verdict else 'reject'}")
-    print(f"accept {'true' if all_ok else 'false'}")
-    return EXIT_OK if all_ok else EXIT_NEGATIVE
+        states.append(auth.RoundState(None, None, challenge, None, verdict))
+    accept = all(state.verdict for state in states)
+    sys.stdout.write(auth.format_transcript(auth.Transcript(public[0], tuple(states), accept)))
+    return EXIT_OK if accept else EXIT_NEGATIVE
 
 
 def _wilson95(successes: int, trials: int) -> tuple[float, float]:

@@ -12,8 +12,9 @@ Two search problems live here, both solved exactly with an explicit node
 budget: strict graph homomorphism (adjacent vertices must map to
 distinct adjacent vertices) and induced subgraph isomorphism (edges and
 non-edges both preserved). Both run one depth-first search with forward
-checking (Haralick and Elliott, 1980) over bitmask candidate domains.
-One budget node is one attempted assignment. Each node assigns the
+checking (Haralick and Elliott, 1980) over bitmask candidate domains, on
+an explicit stack, so its depth is not bounded by Python's recursion
+limit. One budget node is one attempted assignment. Each node assigns the
 variable with the fewest candidates left (ties to the larger degree,
 then declaration order) and tries values lowest index first, so
 results are deterministic.
@@ -411,7 +412,8 @@ def verify_graph_homomorphism(f: VertexMap) -> bool:
 def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[int, int],
                    on: Sequence[int] | Mapping[int, int], off: Sequence[int] | Mapping[int, int],
                    budget: int, problem: str) -> tuple[list[int] | None, int]:
-    """Depth-first search with forward checking over int bitmask domains.
+    """Depth-first search with forward checking over int bitmask domains,
+    run on an explicit stack of frames, one per assigned position.
 
     The positions are the keys of ``domains``, in increasing order, and
     position ``i``'s domain starts as ``domains[i]``. Bit ``j`` of
@@ -433,17 +435,21 @@ def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[in
     """
     assigned = [0] * (max(domains, default=-1) + 1)
     nodes = 0
-
-    def extend(free: list[int], domains: list[int]) -> bool:
-        nonlocal nodes
-        if not free:
-            return True
-        sizes = [d.bit_count() for d in domains]
+    stack = []  # (free positions left, their domains, position, its mask, untried candidates)
+    # free positions stay sorted by degree, so the first smallest domain wins ties
+    free = sorted(domains, key=lambda i: -masks[i].bit_count())
+    child = [domains[i] for i in free]
+    while free:
+        sizes = [d.bit_count() for d in child]
         k = sizes.index(min(sizes))
-        i, dom = free[k], domains[k]
-        free, rest = free[:k] + free[k + 1:], domains[:k] + domains[k + 1:]
+        i, dom = free[k], child[k]
+        free, rest = free[:k] + free[k + 1:], child[:k] + child[k + 1:]
         m = masks[i]
-        while dom:
+        while True:
+            while not dom:  # backtrack to the newest frame with a candidate left
+                if not stack:
+                    return None, nodes
+                free, rest, i, m, dom = stack.pop()
             low = dom & -dom
             dom ^= low
             nodes += 1
@@ -454,14 +460,9 @@ def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[in
             child = [d & (yes if m >> j & 1 else no) for d, j in zip(rest, free)]
             if all(child):
                 assigned[i] = c
-                if extend(free, child):
-                    return True
-        return False
-
-    # free positions stay sorted by degree, so the first smallest domain wins ties
-    order = sorted(domains, key=lambda i: -masks[i].bit_count())
-    found = extend(order, [domains[i] for i in order])
-    return (assigned if found else None), nodes
+                stack.append((free, rest, i, m, dom))
+                break
+    return assigned, nodes
 
 
 def find_graph_homomorphism(source: SimplicialGraph, target: SimplicialGraph,

@@ -56,28 +56,17 @@ class OracleBoundError(ValueError):
     """The oracle refuses words longer than its configured bound."""
 
 
-class Raag:
+class Raag(Record):
     """A right-angled Artin group, carried by its defining graph."""
 
     __slots__ = ("graph",)
 
     def __init__(self, graph: SimplicialGraph):
-        self.graph = graph
+        self._set(graph)
 
     @property
     def generators(self) -> tuple[str, ...]:
         return self.graph.vertices
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Raag):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash(self.graph)
-
-    def __repr__(self) -> str:
-        return f"Raag({self.graph!r})"
 
 
 class Piling(Record):

@@ -192,7 +192,8 @@ class TestSharingCommands:
     @pytest.mark.parametrize("header, words", [("participant 1\nk 0\n", ""),
                                                ("participant 1\nk -1\n", ""),
                                                ("participant -3\nk 1\n", "a\n"),
-                                               ("participant 0\nk 1\n", "a\n")])
+                                               ("participant 0\nk 1\n", "a\n"),
+                                               ("participant 1\nkey 1\n", "a\n")])
     def test_decode_rejects_share_header_below_one(self, capsys, tmp_path, edge_graph,
                                                    header, words):
         share = tmp_path / "share.txt"
@@ -207,6 +208,8 @@ class TestSharingCommands:
         (["scheme tn\nparticipant 1\nbits 0101\np 11\nt 1\n"], "threshold must be at least 2"),
         (["scheme tn\nparticipant 1\nbits 1111\np 11\nt 2\n",
           "scheme tn\nparticipant 2\nbits 0011\np 11\nt 2\n"], "outside Z_11"),
+        (["scheme tn\nparticipant 11\nbits 0001\np 11\nt 2\n",
+          "scheme tn\nparticipant 2\nbits 0010\np 11\nt 2\n"], "evaluation index divisible by p"),
     ])
     def test_reconstruct_tn_applies_shamir_rules(self, capsys, tmp_path, decoded, message):
         paths = []
@@ -226,6 +229,11 @@ class TestSharingCommands:
          "expected 'participant <positive int>'"),
         ("scheme tn\nparticipant 2\nbits 0101\np 11\nt +2\n", "expected 't <positive int>'"),
         ("scheme tn\nparticipant 2\nbits 01x1\np 11\nt 2\n", "bit column entries must be 0 or 1"),
+        ("scheme tn\nparticipant 2\nbits 0101\np 13\nt 2\n", "inconsistent p or t across shares"),
+        ("scheme tn\nparticipant 2\nbits 0101\np 11\nt 3\n", "inconsistent p or t across shares"),
+        ("scheme tn\nparticipant 2\nbits 0101 1\np 11\nt 2\n", "line 3: expected '<key> <value>'"),
+        ("scheme tn\nparticipant\nbits 0101\np 11\nt 2\n", "line 2: expected '<key> <value>'"),
+        ("scheme nn\nbits 0101\n", "expected 'scheme tn', got 'scheme nn'"),
     ])
     def test_reconstruct_tn_checks_decoded_values(self, capsys, tmp_path, second, message):
         first, bad = tmp_path / "first.txt", tmp_path / "second.txt"
@@ -233,6 +241,13 @@ class TestSharingCommands:
         bad.write_text(second)
         code, out, err = run(capsys, "reconstruct-tn", str(first), str(bad))
         assert code == 2 and out == "" and f"{bad}: {message}" in err
+
+    def test_reconstruct_tn_expect_mismatch(self, capsys, tmp_path):
+        paths = [tmp_path / "dec1.txt", tmp_path / "dec2.txt"]
+        paths[0].write_text("scheme tn\nparticipant 1\nbits 0011\np 11\nt 2\n")  # f(1) = 3
+        paths[1].write_text("scheme tn\nparticipant 2\nbits 0101\np 11\nt 2\n")  # f(2) = 5
+        code, out, err = run(capsys, "reconstruct-tn", *map(str, paths), "--expect", "2")
+        assert code == 1 and out == "1\n" and "mismatch: expected 2" in err
 
     def test_reconstruct_tn_at_a_large_prime(self, capsys, tmp_path):
         p, secret, slope = 2 ** 61 - 1, 2 ** 61 - 2, 2 ** 60  # f(X) = secret + slope * X
@@ -379,6 +394,32 @@ class TestAuthCommands:
         code, out, err = run(capsys, "auth", "verify", "--public", public,
                              "--dir", str(run_dir), "--rounds", "3")
         assert code == 2 and out == "" and "round3_response.txt" in err
+
+    @pytest.mark.parametrize("scheme, name, old, new, message", [
+        ("hom", None, None, None, "need at least one round"),
+        ("hom", "public_key.txt", "graph g2", "graph g2 extra", "bad graph section header"),
+        ("hom", "public_key.txt", "graph g2\n", "graph g2\nedge b0 b0\n", "bad graph in key file"),
+        ("sub", "public_key.txt", "subset s2", "subset\nsubset s2", "bad subset line 'subset'"),
+        ("sub", "public_key.txt", "subset s2 ", "subset s2 zz ",
+         "bad subset in key file: subset member 'zz' is not a vertex"),
+        ("sub", "transcript.txt", "accept ", "hello world\naccept ",
+         "unknown transcript line 'hello world'"),
+    ])
+    def test_verify_input_errors_exit_2(self, capsys, tmp_path, scheme, name, old, new, message):
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        public = str(key_dir / "public_key.txt")
+        run(capsys, "auth", "keygen", "--scheme", scheme, "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", public,
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "2",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        if name is not None:
+            path = (key_dir if name == "public_key.txt" else run_dir) / name
+            assert old in path.read_text()
+            path.write_text(path.read_text().replace(old, new, 1))
+        code, out, err = run(capsys, "auth", "verify", "--public", public, "--dir", str(run_dir),
+                             "--rounds", "2" if name else "0")
+        assert code == 2 and out == "" and err.startswith("error: ") and message in err
 
     def test_simulate_prints_rate(self, capsys):
         code, out, _ = run(capsys, "auth", "simulate", "--scheme", "sub", "--strategy",

@@ -180,6 +180,15 @@ class TestFindHomomorphism:
         f = find_graph_homomorphism(SimplicialGraph(()), triangle())
         assert f is not None and f.assignment == {}
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # one search depth per source vertex, past Python's default limit of 1,000 frames
+        source = SimplicialGraph(tuple(f"x{i}" for i in range(1100)))
+        f = find_graph_homomorphism(source, triangle())
+        assert f is not None and verify_graph_homomorphism(f)
+        assert set(f.assignment.values()) == {"t0"}  # lowest target index first
+        with pytest.raises(SearchBudgetExceeded):
+            find_graph_homomorphism(source, triangle(), budget=1050)
+
     def test_agrees_with_brute_force_search(self):
         rng = random.Random(21)
         for _ in range(200):
@@ -358,6 +367,15 @@ class TestInducedIsomorphism:
                 assert verify_induced_subgraph_isomorphism(g, s1, s2, f)
             outcomes[exists] += 1
         assert min(outcomes.values()) > 50  # both outcomes are exercised
+
+    def test_find_deeper_than_the_recursion_limit(self):
+        # a path on 1,050 vertices onto itself: forward checking forces the
+        # identity from the first endpoint, one search depth per member
+        path = SimplicialGraph(tuple(f"p{i}" for i in range(1050)),
+                               [(f"p{i}", f"p{i + 1}") for i in range(1049)])
+        members = list(path.vertices)
+        f = find_induced_subgraph_isomorphism(path, members, members[::-1])
+        assert f == {v: v for v in members}
 
     def test_find_budget(self):
         g = complete(8)
@@ -541,7 +559,7 @@ class TestMaskCore:
                       auth._pullback_graph(hom.g2, auth._random_images(hom.g2, 9, rng), "c",
                                            rng, keep_prob=0.5)[0],
                       auth.sub_commit(sub.ambient, sub.s1, seed)[0],
-                      auth._relabel_induced(sub.ambient, sub.s2, rng)[0],
+                      auth.sub_commit(sub.ambient, sub.s2, seed)[0],
                       induced_subgraph(sub.ambient, rng.sample(sub.ambient.vertices, 5))]
         for g in built:
             assert g == SimplicialGraph(g.vertices, g.edge_list())

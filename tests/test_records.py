@@ -25,7 +25,7 @@ from raagcrypt.auth import (
 )
 from raagcrypt.bench import BenchPoint, BenchResult
 from raagcrypt.graphs import GraphError, SimplicialGraph, VertexMap, VertexSubset
-from raagcrypt.raag import Piling
+from raagcrypt.raag import Piling, Raag
 from raagcrypt.sharing import DealerSetupNN, ShamirSetup, ShareNN, ShareTN, SharingError
 
 # a triangle a-b-c and an isolated d
@@ -40,6 +40,7 @@ RECORDS = [
     (VertexSubset, ("parent", "members"), (G, frozenset({"a", "b"})), True),
     (VertexMap, ("source", "target", "assignment"), (P2, G, {"x": "a", "y": "b"}), True),
     (Piling, ("stacks",), (((), (1, 2), (), ()),), True),
+    (Raag, ("graph",), (G,), True),
     (HomKeyPair, ("g1", "g2", "alpha"), (HOM.g1, HOM.g2, HOM.alpha), True),
     (SubKeyPair, ("ambient", "s1", "s2", "alpha"), (SUB.ambient, SUB.s1, SUB.s2, SUB.alpha),
      True),
@@ -152,6 +153,10 @@ def test_copy_and_pickle_keep_the_fields(cls, fields, args, frozen):
     record = cls(*args)
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls and clone == record
+
+
+def test_raag_generators_are_the_graph_vertices():
+    assert Raag(G).generators == G.vertices
 
 
 def test_record_conveniences():

@@ -180,6 +180,17 @@ class TestOracle:
         assert oracle_is_trivial(EDGE, COMMUTATOR)
         assert not oracle_is_trivial(FREE2, COMMUTATOR)
 
+    def test_refuted_by_the_search_itself(self):
+        # [[a,b],c] on three isolated vertices passes both shortcuts: its exponent
+        # sums vanish and every pair projection freely reduces to the empty word
+        free3 = Raag(SimplicialGraph(("a", "b", "c")))
+        w = parse_word("a b a^-1 b^-1 c b a b^-1 a^-1 c^-1")
+        assert not any(exponent_sums(w).values())
+        for pair in (("a", "b"), ("a", "c"), ("b", "c")):
+            assert free_reduce(tuple(l for l in w if l[0] in pair)) == ()
+        assert not oracle_is_trivial(free3, w)
+        assert not is_trivial(free3, w)
+
     def test_bound_measured_after_free_reduction(self):
         w = concat(*([(("a", 1), ("a", -1))] * 20))
         assert oracle_is_trivial(EDGE, w)  # 40 letters, reduces to none
