@@ -115,18 +115,20 @@ def _write_shares(out_dir: str, shares) -> None:
 
 def cmd_deal_nn(args) -> int:
     secret = _parse_bits(args.secret)
-    setup = sharing.random_dealer_setup_nn(args.participants, len(secret),
-                                           args.generators, args.edge_prob, args.seed)
-    _write_shares(args.out_dir, sharing.deal_nn(setup, secret, args.seed,
+    rng = random.Random(args.seed)  # a graph seed, then a deal seed: one seed must not feed both
+    setup = sharing.random_dealer_setup_nn(args.participants, len(secret), args.generators,
+                                           args.edge_prob, rng.getrandbits(64))
+    _write_shares(args.out_dir, sharing.deal_nn(setup, secret, rng.getrandbits(64),
                                                 word_length=args.word_length))
     return EXIT_OK
 
 
 def cmd_deal_tn(args) -> int:
+    rng = random.Random(args.seed)  # as in cmd_deal_nn
     graphs = sharing.random_participant_graphs(args.participants, args.generators,
-                                               args.edge_prob, args.seed)
-    _, shares = sharing.deal_tn(graphs, args.secret, args.prime, args.threshold, args.seed,
-                                k=args.bits, word_length=args.word_length)
+                                               args.edge_prob, rng.getrandbits(64))
+    _, shares = sharing.deal_tn(graphs, args.secret, args.prime, args.threshold,
+                                rng.getrandbits(64), k=args.bits, word_length=args.word_length)
     _write_shares(args.out_dir, shares)
     return EXIT_OK
 
@@ -135,22 +137,19 @@ def cmd_decode_share(args) -> int:
     graph = parse_graph(_read(args.graph))
     share = sharing.parse_share(_read(args.share), graph)
     if isinstance(share, sharing.ShareTN):
-        i, y = sharing.decode_share_tn(share)
-        text = (f"scheme tn\nparticipant {i}\n"
-                f"bits {''.join(map(str, sharing.int_to_bits(y, len(share.words))))}\n"
-                f"p {share.p}\nt {share.t}\nvalue {y}\n")
+        bits = sharing.int_to_bits(sharing.decode_share_tn(share)[1], len(share.words))
+        tail = f"p {share.p}\nt {share.t}\nvalue {sharing.bits_to_int(bits)}\n"
     else:
-        bits = sharing.decode_share_nn(share)
-        text = (f"scheme nn\nparticipant {share.participant}\n"
-                f"bits {''.join(map(str, bits))}\n")
-    _emit(text, args.out)
+        bits, tail = sharing.decode_share_nn(share), ""
+    _emit(f"scheme {share.scheme}\nparticipant {share.participant}\n"
+          f"bits {''.join(map(str, bits))}\n{tail}", args.out)
     return EXIT_OK
 
 
 def _parse_decoded(path: str, scheme: str) -> tuple[sharing.BitColumn, dict[str, int]]:
-    """A decoded share's bits and, for ``tn``, its ``participant``, ``p`` and ``t``
-    values, each a positive integer; a ``value`` line must equal the bits. Errors
-    name the file."""
+    """A decoded share's bits and its ``participant``, ``p`` and ``t`` values, each a
+    positive integer; ``tn`` needs all three and ``nn`` takes no ``p`` or ``t``. A
+    ``value`` line must equal the bits, and any other key is refused. Errors name the file."""
     try:
         fields: dict[str, str] = {}
         for lineno, (key, *value) in _directives(_read(path)):
@@ -163,11 +162,15 @@ def _parse_decoded(path: str, scheme: str) -> tuple[sharing.BitColumn, dict[str,
             raise sharing.SharingError(f"expected 'scheme {scheme}', "
                                        f"got 'scheme {fields['scheme']}'")
         header = ("participant", "p", "t") if scheme == "tn" else ()
+        for key in fields:
+            if key not in ("scheme", "participant", "bits", "value") + header:
+                raise sharing.SharingError(f"unknown '{key}' line")
         for key in ("scheme", "bits") + header:
             if key not in fields:
                 raise sharing.SharingError(f"missing '{key}' line")
         bits = _parse_bits(fields["bits"])
-        values = {key: sharing.positive_int(key, fields[key]) for key in header}
+        values = {key: sharing.positive_int(key, fields[key])
+                  for key in ("participant", "p", "t") if key in fields}
         value = fields.get("value")
         if value is not None and (not value.isdecimal()
                                   or int(value) != sharing.bits_to_int(bits)):
@@ -177,14 +180,17 @@ def _parse_decoded(path: str, scheme: str) -> tuple[sharing.BitColumn, dict[str,
     return bits, values
 
 
-def cmd_reconstruct_nn(args) -> int:
-    secret = sharing.reconstruct_nn([_parse_decoded(path, "nn")[0] for path in args.files])
-    text = "".join(map(str, secret))
-    print(text)
-    if args.expect is not None and text != args.expect:
-        print(f"mismatch: expected {args.expect}", file=sys.stderr)
+def _report_secret(secret, expect) -> int:
+    print(secret)
+    if expect is not None and secret != expect:
+        print(f"mismatch: expected {expect}", file=sys.stderr)
         return EXIT_NEGATIVE
     return EXIT_OK
+
+
+def cmd_reconstruct_nn(args) -> int:
+    secret = sharing.reconstruct_nn([_parse_decoded(path, "nn")[0] for path in args.files])
+    return _report_secret("".join(map(str, secret)), args.expect)
 
 
 def cmd_reconstruct_tn(args) -> int:
@@ -197,12 +203,7 @@ def cmd_reconstruct_tn(args) -> int:
         elif (values["p"], values["t"]) != (p, t):
             raise sharing.SharingError(f"{path}: inconsistent p or t across shares")
         points.append((values["participant"], sharing.bits_to_int(bits)))
-    secret = sharing.lagrange_reconstruct(points, p, t)
-    print(secret)
-    if args.expect is not None and secret != args.expect:
-        print(f"mismatch: expected {args.expect}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return _report_secret(sharing.lagrange_reconstruct(points, p, t), args.expect)
 
 
 # ---------------------------------------------------------------------------

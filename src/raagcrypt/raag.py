@@ -275,6 +275,8 @@ def _shuffle_commuting(rng: random.Random, codes: list[int], commute: tuple[int,
 def _sample(graph: SimplicialGraph, seed: int, even: int, extra: bool) -> Word:
     """A shuffled trivial word of ``even`` letters, times one more random
     letter and shuffled again when ``extra``. Runs on letter codes."""
+    if not graph.vertices:
+        raise ValueError("the group needs at least one generator")
     # _randbelow(k) is the one draw behind randrange(k), randint(0, k - 1)
     # and choice() of k items, so the words are those of the calls it replaces
     letters, commute, edges = graph._letter_codes
@@ -310,8 +312,6 @@ def sample_trivial_word(g: Raag, target_length: int, seed: int) -> Word:
     insertions, then obfuscated by random legal commuting swaps.
     Deterministic in the seed.
     """
-    if not g.generators:
-        raise ValueError("the group needs at least one generator")
     if target_length <= 0 or target_length % 2:
         raise ValueError("target length must be a positive even integer")
     return _sample(g.graph, seed, target_length, False)
@@ -327,8 +327,6 @@ def sample_nontrivial_word(g: Raag, target_length: int, seed: int) -> Word:
     The trivial word's exponent sums are all 0 and commuting swaps keep
     them, so x's exponent sum is ±1 and the word is never trivial.
     """
-    if not g.generators:
-        raise ValueError("the group needs at least one generator")
     if target_length <= 0:
         raise ValueError("target length must be positive")
     return _sample(g.graph, seed, target_length - target_length % 2, True)

@@ -85,12 +85,7 @@ def split_bits_nn(c: BitColumn, n: int, seed: int) -> list[BitColumn]:
         raise SharingError("need at least 2 participants")
     rng = random.Random(seed)
     columns = [tuple(rng.getrandbits(1) for _ in c) for _ in range(n - 1)]
-    last = list(c)
-    for col in columns:
-        for i, b in enumerate(col):
-            last[i] ^= b
-    columns.append(tuple(last))
-    return columns
+    return columns + [reconstruct_nn([c, *columns])]
 
 
 def reconstruct_nn(columns: Sequence[BitColumn]) -> BitColumn:

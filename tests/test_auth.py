@@ -262,6 +262,12 @@ class TestSubRound:
         collapsed = {v: key.s1.ordered()[0] for v in commitment.vertices}
         assert not sub_verify(key.ambient, key.s1, key.s2, commitment, 0, collapsed)
 
+    def test_challenge_validation(self):
+        key = sub_keygen(12, 5, 1)
+        commitment, beta = sub_commit(key.ambient, key.s1, 2)
+        with pytest.raises(AuthError, match="challenge must be 0 or 1, got 2"):
+            sub_verify(key.ambient, key.s1, key.s2, commitment, 2, beta)
+
     def test_respond_needs_challenge(self):
         key = sub_keygen(12, 5, 1)
         commitment, beta = sub_commit(key.ambient, key.s1, 2)
@@ -357,6 +363,10 @@ class TestProtocol:
             run_protocol("nope", key, 1, "honest", 1, 2)
         with pytest.raises(AuthError, match="hom' only"):
             run_protocol("sub", sub_keygen(12, 5, 11), 1, "honest", 1, 2, commit_size=5)
+
+    def test_commit_size_at_least_one(self):
+        with pytest.raises(AuthError, match="commitment size must be at least 1"):
+            run_protocol("hom", hom_keygen(7, 7, 11), 1, "honest", 1, 2, commit_size=0)
 
     def test_verdicts_rechecked_independently_of_driver(self):
         # recompute every verdict from the recorded messages alone

@@ -161,6 +161,35 @@ class TestSharingCommands:
         for name in ("share_p1.txt", "share_p2.txt", "secret_graph_p1.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_nn_pads_are_independent_of_the_holders_graph(self, capsys, tmp_path):
+        # one --seed once fed both the graph stream and the deal stream, so pad bit
+        # 2j of participant 1 was the complement of edge bit j of their own graph
+        agree = 0
+        for seed in range(1, 21):
+            d = tmp_path / str(seed)
+            assert run(capsys, "deal-nn", "--secret", "000000000000", "--participants", "2",
+                       "--generators", "5", "--seed", str(seed), "--out-dir", str(d))[0] == 0
+            code, out, _ = run(capsys, "decode-share", "--share", str(d / "share_p1.txt"),
+                               "--graph", str(d / "secret_graph_p1.txt"))
+            assert code == 0
+            pad = dict(line.split() for line in out.splitlines())["bits"]
+            graph = parse_graph((d / "secret_graph_p1.txt").read_text())
+            vs = graph.vertices
+            edges = [graph.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+            agree += sum(int(pad[2 * j]) == 1 - edges[j] for j in range(len(pad) // 2))
+        assert agree < 100  # 120 of 120 when the streams coincide
+
+    @pytest.mark.parametrize("argv, message", [
+        (["deal-nn", "--secret", "101", "--participants", "1", "--generators", "3"],
+         "need at least 2 participants"),
+        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+          "--participants", "3", "--generators", "0"], "need at least one public generator"),
+    ])
+    def test_deal_input_errors_exit_2(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv, "--seed", "1", "--out-dir", str(tmp_path / "x"))
+        assert code == 2 and out == "" and message in err
+        assert not (tmp_path / "x").exists()
+
     def test_tn_pipeline_with_threshold_subset(self, capsys, tmp_path):
         d = tmp_path / "tn"
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
@@ -188,6 +217,19 @@ class TestSharingCommands:
         other.write_text("scheme nn\nbits 0000\n")
         code, out, err = run(capsys, "reconstruct-nn", str(repeated), str(other))
         assert code == 2 and out == "" and "repeated 'bits' line" in err
+
+    @pytest.mark.parametrize("second, message", [
+        ("scheme nn\nbits 0101\ncolour red\n", "unknown 'colour' line"),
+        ("scheme nn\nparticipant banana\nbits 0101\n", "expected 'participant <positive int>'"),
+        ("scheme nn\nparticipant 0\nbits 0101\n", "expected 'participant <positive int>'"),
+        ("scheme nn\nbits 0101\np 11\n", "unknown 'p' line"),
+    ])
+    def test_reconstruct_nn_checks_decoded_keys(self, capsys, tmp_path, second, message):
+        first, bad = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text("scheme nn\nparticipant 1\nbits 0011\n")
+        bad.write_text(second)
+        code, out, err = run(capsys, "reconstruct-nn", str(first), str(bad))
+        assert code == 2 and out == "" and f"{bad}: {message}" in err
 
     @pytest.mark.parametrize("header, words", [("participant 1\nk 0\n", ""),
                                                ("participant 1\nk -1\n", ""),
@@ -234,6 +276,7 @@ class TestSharingCommands:
         ("scheme tn\nparticipant 2\nbits 0101 1\np 11\nt 2\n", "line 3: expected '<key> <value>'"),
         ("scheme tn\nparticipant\nbits 0101\np 11\nt 2\n", "line 2: expected '<key> <value>'"),
         ("scheme nn\nbits 0101\n", "expected 'scheme tn', got 'scheme nn'"),
+        ("scheme tn\nparticipant 2\nbits 0101\np 11\nt 2\ncolour red\n", "unknown 'colour' line"),
     ])
     def test_reconstruct_tn_checks_decoded_values(self, capsys, tmp_path, second, message):
         first, bad = tmp_path / "first.txt", tmp_path / "second.txt"
@@ -421,6 +464,21 @@ class TestAuthCommands:
                              "--rounds", "2" if name else "0")
         assert code == 2 and out == "" and err.startswith("error: ") and message in err
 
+    def test_prove_on_an_empty_g1_exits_2(self, capsys, tmp_path):
+        public, private = tmp_path / "public_key.txt", tmp_path / "private_key.txt"
+        public.write_text("scheme hom\ngraph g1\nvertices\ngraph g2\nvertices b0 b1 b2\n"
+                          "edge b0 b1\nedge b0 b2\nedge b1 b2\n")
+        private.write_text("")
+        code, out, err = run(capsys, "auth", "prove", "--public", str(public),
+                             "--private", str(private), "--rounds", "2", "--seed", "1",
+                             "--challenge-seed", "2", "--out-dir", str(tmp_path / "run"))
+        assert code == 2 and out == "" and "target graph must have at least one vertex" in err
+
+    def test_simulate_needs_a_trial(self, capsys):
+        code, out, err = run(capsys, "auth", "simulate", "--scheme", "hom", "--strategy",
+                             "honest", "--rounds", "2", "--trials", "0", "--seed", "1")
+        assert code == 2 and out == "" and "need at least one trial" in err
+
     def test_simulate_prints_rate(self, capsys):
         code, out, _ = run(capsys, "auth", "simulate", "--scheme", "sub", "--strategy",
                            "cheat-guess-0", "--rounds", "1", "--trials", "400", "--seed", "3")
@@ -542,6 +600,17 @@ class TestBenchCommand:
         assert run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",
                    "100,200,400", "--repetitions", "0", "--seed", "1")[0] == 2
 
+    @pytest.mark.parametrize("graph, lengths, message", [
+        (EDGE_GRAPH, "40,20,10", "strictly ascending"),
+        ("vertices\n", "10,20,40", "benchmark graph must have at least one vertex"),
+    ])
+    def test_input_errors_exit_2(self, capsys, tmp_path, graph, lengths, message):
+        path = tmp_path / "graph.txt"
+        path.write_text(graph)
+        code, out, err = run(capsys, "bench", "word", "--graph", str(path), "--lengths",
+                             lengths, "--seed", "1")
+        assert code == 2 and out == "" and message in err
+
     def test_small_run_reports_slope(self, capsys, edge_graph):
         code, out, _ = run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",
                            "400,800,1600", "--repetitions", "2", "--seed", "1")
@@ -601,6 +670,24 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 # The body of the wrapper that setuptools writes for the console script.
 CONSOLE_SCRIPT_BODY = "import sys\nfrom raagcrypt.cli import main\nsys.exit(main())\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "gen", "--vertices", "6", "--edge-prob", "0.5", "--seed", "3"],
+    ["word", "sample", "--graph", "{dir}/g.txt", "--kind", "nontrivial", "--length", "9",
+     "--seed", "4"],
+    ["decode-share", "--share", "{dir}/tn/share_p2.txt", "--graph", "{dir}/tn/secret_graph_p2.txt"],
+])
+def test_stdout_holds_the_bytes_out_writes(capsys, tmp_path, argv):
+    (tmp_path / "g.txt").write_text(EDGE_GRAPH)
+    assert run(capsys, "deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+               "--participants", "3", "--generators", "3", "--seed", "1",
+               "--out-dir", str(tmp_path / "tn"))[0] == 0
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out
+    assert run(capsys, *argv, "--out", str(tmp_path / "out.txt")) == (0, "", "")
+    assert (tmp_path / "out.txt").read_bytes() == out.encode()
 
 
 def run_child(*argv):

@@ -59,6 +59,10 @@ class TestValidateGraph:
         violations = validate_graph(["a"], [("a", "b")])
         assert len(violations) == 1 and "undeclared" in violations[0]
 
+    def test_edge_with_three_endpoints(self):
+        violations = validate_graph(["a", "b", "c"], [("a", "b", "c")])
+        assert violations == ["edge ('a', 'b', 'c') does not have exactly two endpoints"]
+
     def test_duplicates(self):
         assert any("duplicate vertex" in v for v in validate_graph(["a", "a"], []))
         assert any("duplicate edge" in v

@@ -404,6 +404,16 @@ class TestSamplers:
             w = sample_nontrivial_word(Raag(g), rng.randint(1, 64), rng.getrandbits(32))
             assert [s for s in exponent_sums(w).values() if s] in ([1], [-1])
 
+    def test_length_is_checked_before_the_generators(self):
+        empty = Raag(SimplicialGraph(()))
+        with pytest.raises(ValueError, match="target length must be a positive even integer"):
+            sample_trivial_word(empty, 0, 0)
+        with pytest.raises(ValueError, match="target length must be positive"):
+            sample_nontrivial_word(empty, 0, 0)
+        for sample in (sample_trivial_word, sample_nontrivial_word):
+            with pytest.raises(ValueError, match="the group needs at least one generator"):
+                sample(empty, 2, 0)
+
     def test_edgeless_graph_still_samples_trivial_words(self):
         g = Raag(SimplicialGraph(("a", "b", "c")))
         w = sample_trivial_word(g, 12, 5)
