@@ -189,8 +189,16 @@ def _report_secret(secret, expect) -> int:
 
 
 def cmd_reconstruct_nn(args) -> int:
-    secret = sharing.reconstruct_nn([_parse_decoded(path, "nn")[0] for path in args.files])
-    return _report_secret("".join(map(str, secret)), args.expect)
+    columns, holders = [], {}  # a repeated column would cancel out of the XOR
+    for path in args.files:
+        bits, values = _parse_decoded(path, "nn")
+        who = values.get("participant")
+        if who in holders:
+            raise sharing.SharingError(f"{holders[who]} and {path} both hold participant {who}")
+        if who is not None:
+            holders[who] = path
+        columns.append(bits)
+    return _report_secret("".join(map(str, sharing.reconstruct_nn(columns))), args.expect)
 
 
 def cmd_reconstruct_tn(args) -> int:

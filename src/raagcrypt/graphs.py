@@ -6,7 +6,10 @@ of the vertices is significant and is the ordering used everywhere a
 deterministic traversal is needed (serialization, search, sampling).
 Edges are stored as one int bitmask per vertex. Graphs read from outside
 are fully validated; graphs the package generates are built from their
-masks with a structural check only.
+masks with a structural check only. Pulling a graph back along a label
+list (every commitment and map check) takes one C-level ``bytes.translate``
+per row up to 256 vertices, through tables memoized by mask value (at most
+1024 of 256 bytes, about 0.45 MB at worst); larger graphs walk the bits.
 
 Two search problems live here, both solved exactly with an explicit node
 budget: strict graph homomorphism (adjacent vertices must map to
@@ -119,6 +122,12 @@ def _label_index(vertices: tuple[str, ...]) -> dict[str, int]:
     if violations:
         raise GraphError("; ".join(violations))
     return {v: i for i, v in enumerate(vertices)}
+
+
+@lru_cache(maxsize=1024)  # keyed by mask value: a fresh graph's seen rows cost one hit each
+def _row_table(mask: int) -> bytes:
+    """Byte j is ASCII ``1`` iff bit j of ``mask`` is set: a row's ``bytes.translate`` table."""
+    return f"{mask:0256b}"[::-1].encode()
 
 
 class SimplicialGraph:
@@ -235,8 +244,14 @@ class SimplicialGraph:
 
     def _induced_masks(self, labels: Iterable[str]) -> tuple[int, ...]:
         """Masks on positions 0..k-1, ``i`` and ``j`` adjacent iff ``labels[i]`` and
-        ``labels[j]`` are; labels may repeat (a label is never adjacent to itself)."""
+        ``labels[j]`` are; labels may repeat (a label is never adjacent to itself). Up to
+        256 vertices a row is ``int(.., 2)`` of the reversed index bytes translated through
+        its ``_row_table``; above that an index does not fit a byte, and rows walk the bits."""
         masks, index = self._masks, self._index
+        if len(masks) <= 256:
+            idx = bytes(map(index.__getitem__, labels))
+            key = idx[::-1]  # position k-1 first: it is the row's top bit
+            return tuple([int(key.translate(_row_table(masks[a])), 2) for a in idx])
         idx = [index[v] for v in labels]
         at = [0] * len(masks)  # the positions holding each vertex
         present = 0

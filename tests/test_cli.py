@@ -153,6 +153,22 @@ class TestSharingCommands:
         code, _, err = run(capsys, "reconstruct-nn", *decoded, "--expect", "00000")
         assert code == 1 and "mismatch" in err
 
+    def test_reconstruct_nn_refuses_a_repeated_participant(self, capsys, tmp_path):
+        # a column given twice cancels out of the XOR: d1 d1 d3 read 01110 for 10110
+        d = tmp_path / "nn"
+        assert run(capsys, "deal-nn", "--secret", "10110", "--participants", "3",
+                   "--generators", "4", "--seed", "9", "--out-dir", str(d))[0] == 0
+        for j in (1, 3):
+            assert run(capsys, "decode-share", "--share", str(d / f"share_p{j}.txt"),
+                       "--graph", str(d / f"secret_graph_p{j}.txt"),
+                       "--out", str(d / f"d{j}"))[0] == 0
+        d1, d3, copy = d / "d1", d / "d3", d / "copy"
+        copy.write_bytes(d1.read_bytes())
+        for files, second in [((d1, d1, d3), d1), ((d1, d3, copy), copy)]:
+            code, out, err = run(capsys, "reconstruct-nn", *map(str, files))
+            assert code == 2 and out == ""
+            assert f"{d1} and {second} both hold participant 1" in err
+
     def test_nn_deal_is_byte_deterministic(self, capsys, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         for d in (d1, d2):

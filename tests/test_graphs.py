@@ -543,6 +543,26 @@ class TestMaskCore:
                 assert g != SimplicialGraph(vertices, [tuple(e) for e in toggled])
                 assert g != SimplicialGraph(vertices[::-1], listed)
 
+    @staticmethod
+    def _pulled_back(g, labels):
+        """The plain reference for ``_induced_masks``: one ``has_edge`` per position pair."""
+        return tuple(sum(1 << j for j, w in enumerate(labels) if g.has_edge(v, w))
+                     for v in labels)
+
+    def test_induced_masks_match_has_edge_reference(self):
+        rng = random.Random(707)
+        cases = [SimplicialGraph(vertices, listed)
+                 for vertices, _, listed in (_reference_case(rng) for _ in range(200))]
+        # both sides of the 256-vertex split: translate tables below it, the bit walk above
+        cases += [random_graph(n, 0.3, n) for n in (255, 256, 257, 300)]
+        for g in cases:
+            vs = g.vertices
+            drawn = [rng.choice(vs) for _ in range(rng.randint(1, 2 * len(vs)))] if vs else []
+            for labels in (drawn, list(vs), list(vs[:1]), list(vs[:1]) * 3, []):
+                expected = self._pulled_back(g, labels)
+                assert g._induced_masks(labels) == expected
+                assert g._induced_masks(iter(labels)) == expected  # read once
+
     def test_edge_list_is_a_fresh_list(self):
         g = cycle(5)
         first = g.edge_list()
