@@ -151,10 +151,7 @@ class RoundState(Record):
 
 
 class Transcript(Record):
-    __slots__ = ("scheme", "rounds", "accept")
-
-    def __init__(self, scheme: str, rounds: tuple[RoundState, ...], accept: bool):
-        self._set(scheme, rounds, accept)
+    __slots__ = ("scheme", "rounds", "accept")  # rounds: a tuple of RoundState
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,7 @@ __all__ = ["BenchPoint", "BenchResult", "fit_loglog_slope", "run_word_benchmark"
 
 
 class BenchPoint(Record):
-    __slots__ = ("length", "samples")
-
-    def __init__(self, length: int, samples: tuple[float, ...]):  # seconds, one per repetition
-        self._set(length, samples)
+    __slots__ = ("length", "samples")  # samples: seconds, one per repetition
 
     @property
     def mean(self) -> float:
@@ -30,10 +27,7 @@ class BenchPoint(Record):
 
 
 class BenchResult(Record):
-    __slots__ = ("points", "slope")
-
-    def __init__(self, points: tuple[BenchPoint, ...], slope: float):
-        self._set(points, slope)
+    __slots__ = ("points", "slope")  # points: a tuple of BenchPoint, by ascending length
 
 
 def fit_loglog_slope(lengths: Sequence[int], means: Sequence[float]) -> float:

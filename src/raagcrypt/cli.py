@@ -37,6 +37,9 @@ from .words import format_word, parse_word
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+# the run directory auth prove writes and auth verify reads: round i's two files, the transcript
+ROUND_FILES = ("round{}_commitment.txt", "round{}_response.txt")
+TRANSCRIPT_FILE = "transcript.txt"
 
 
 def _read(path: str) -> str:
@@ -248,11 +251,11 @@ def cmd_auth_prove(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, state in enumerate(transcript.rounds, start=1):
-        _write(out / f"round{i}_commitment.txt", format_graph(state.commitment))
+        commitment_path, response_path = (out / name.format(i) for name in ROUND_FILES)
+        _write(commitment_path, format_graph(state.commitment))
         response = getattr(state.response, "assignment", state.response)  # a hom VertexMap
-        _write(out / f"round{i}_response.txt",
-               format_map_lines(response, state.commitment.vertices))
-    _write(out / "transcript.txt", auth.format_transcript(transcript))
+        _write(response_path, format_map_lines(response, state.commitment.vertices))
+    _write(out / TRANSCRIPT_FILE, auth.format_transcript(transcript))
     print(f"wrote {len(transcript.rounds)} rounds to {out}")
     return EXIT_OK if transcript.accept else EXIT_NEGATIVE
 
@@ -261,7 +264,7 @@ def cmd_auth_verify(args) -> int:
     if args.rounds is not None and args.rounds < 1:
         raise auth.AuthError("need at least one round")
     public = auth.parse_public_key(_read(args.public))
-    rounds, _ = auth.parse_transcript(_read(Path(args.dir) / "transcript.txt"))
+    rounds, _ = auth.parse_transcript(_read(Path(args.dir) / TRANSCRIPT_FILE))
     if args.rounds is not None and len(rounds) != args.rounds:
         # the soundness error 2^-r is the verifier's to fix, not the transcript's
         print(f"reject: transcript has {len(rounds)} rounds, verifier requires {args.rounds}")
@@ -269,8 +272,8 @@ def cmd_auth_verify(args) -> int:
         return EXIT_NEGATIVE
     *_, verify = auth.scheme_steps(public)
     # every round file is read before the first verdict, so a missing one prints nothing
-    messages = [(_read(Path(args.dir) / f"round{i}_commitment.txt"),
-                 _read(Path(args.dir) / f"round{i}_response.txt")) for i, _, _ in rounds]
+    messages = [[_read(Path(args.dir) / name.format(i)) for name in ROUND_FILES]
+                for i, _, _ in rounds]
     states = []
     for (_, challenge, _), (commitment, response) in zip(rounds, messages):
         try:

@@ -294,12 +294,23 @@ def _keep_edges(candidates: Sequence[int], p: float, rng: random.Random) -> list
 
 
 class Record:
-    """A frozen record: ``_set`` fills ``__slots__`` once; eq, hash, repr and copy follow them."""
+    """A frozen record declared by its ``__slots__``: built from its fields by position, then by
+    keyword, each once; eq, hash, repr and copy follow them. A validating record calls ``_set``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # a full positional call skips the binding
+            named = {**dict(zip(fields, args)), **kwargs}
+            if len(args) + len(kwargs) != len(named) or named.keys() != set(fields):
+                raise TypeError(f"{type(self).__qualname__}() takes each of "
+                                f"{', '.join(fields)} exactly once")
+            args = [named[name] for name in fields]
+        self._set(*args)
 
     def _set(self, *values: object) -> None:
         for name, value in zip(self._fields, values):

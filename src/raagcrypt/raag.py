@@ -61,9 +61,6 @@ class Raag(Record):
 
     __slots__ = ("graph",)
 
-    def __init__(self, graph: SimplicialGraph):
-        self._set(graph)
-
     @property
     def generators(self) -> tuple[str, ...]:
         return self.graph.vertices
@@ -73,9 +70,6 @@ class Piling(Record):
     """Solver state: one stack per vertex, aligned with declaration order."""
 
     __slots__ = ("stacks",)
-
-    def __init__(self, stacks: tuple[tuple[int, ...], ...]):
-        self._set(stacks)
 
     def is_empty(self) -> bool:
         return all(not s for s in self.stacks)

@@ -106,8 +106,7 @@ def reconstruct_nn(columns: Sequence[BitColumn]) -> BitColumn:
 # word encoding: bit 1 <-> trivial word
 
 
-def encode_column(g: Raag, c: BitColumn, target_length: int = DEFAULT_WORD_LENGTH,
-                  seed: int = 0) -> WordColumn:
+def encode_column(g: Raag, c: BitColumn, target_length: int, seed: int) -> WordColumn:
     """One word per bit: trivial in ``g`` iff the bit is 1."""
     c = bit_column(c)
     if target_length <= 0 or target_length % 2:
@@ -247,6 +246,14 @@ def bits_to_int(c: BitColumn) -> int:
 # dealer flows
 
 
+def _check_generators(generators: tuple[str, ...], graphs: Iterable[SimplicialGraph]) -> None:
+    """The rules both dealers share: at least one generator, every graph on exactly those."""
+    if not generators:
+        raise SharingError("need at least one public generator")
+    if any(g.vertices != generators for g in graphs):
+        raise GraphError("participant graph must use exactly the public generators")
+
+
 class DealerSetupNN(Record):
     """Public generators plus each participant's secret relator graph."""
 
@@ -261,11 +268,7 @@ class DealerSetupNN(Record):
             raise SharingError("column length must be at least 1")
         if len(self.participant_graphs) != self.n:
             raise SharingError("need one secret graph per participant")
-        if not self.generators:
-            raise SharingError("need at least one public generator")
-        for g in self.participant_graphs:
-            if g.vertices != self.generators:
-                raise GraphError("participant graph must use exactly the public generators")
+        _check_generators(self.generators, self.participant_graphs)
 
 
 class ShareNN(Record):
@@ -273,17 +276,11 @@ class ShareNN(Record):
     scheme = "nn"
     header = ("participant", "k")  # share-file lines after the scheme line
 
-    def __init__(self, participant: int, graph: SimplicialGraph, words: WordColumn):
-        self._set(participant, graph, words)
-
 
 class ShareTN(Record):
     __slots__ = ("participant", "graph", "words", "p", "t")  # participant: the evaluation point
     scheme = "tn"
     header = ("participant", "k", "p", "t")
-
-    def __init__(self, participant: int, graph: SimplicialGraph, words: WordColumn, p: int, t: int):
-        self._set(participant, graph, words, p, t)
 
 
 def random_participant_graphs(n: int, num_generators: int, edge_prob: float,
@@ -308,7 +305,8 @@ def random_dealer_setup_nn(n: int, k: int, num_generators: int, edge_prob: float
 
 def deal_nn(setup: DealerSetupNN, secret: BitColumn, seed: int,
             word_length: int = DEFAULT_WORD_LENGTH) -> list[ShareNN]:
-    """Split the secret column and encode each split under its holder's graph."""
+    """Split the secret column and encode each split under its holder's graph. With the seed
+    that drew the graphs, the split would follow participant 1's graph: draw ``seed`` apart."""
     secret = bit_column(secret)
     if len(secret) != setup.k:
         raise SharingError(f"secret column length {len(secret)} != k={setup.k}")
@@ -326,10 +324,12 @@ def decode_share_nn(share: ShareNN) -> BitColumn:
 def deal_tn(participant_graphs: Sequence[SimplicialGraph], x: int, p: int, t: int,
             seed: int, k: int | None = None,
             word_length: int = DEFAULT_WORD_LENGTH) -> tuple[ShamirSetup, list[ShareTN]]:
-    """Shamir-split the secret and word-encode each share's k-bit column."""
+    """Shamir-split the secret and word-encode each share's k-bit column. With the seed that
+    drew the graphs, the polynomial would follow participant 1's graph: draw ``seed`` apart."""
     n = len(participant_graphs)
     rng = random.Random(seed)
     setup, points = shamir_split(x, p, t, n, rng.getrandbits(64), k=k)
+    _check_generators(participant_graphs[0].vertices, participant_graphs)  # n >= t >= 2
     return setup, [ShareTN(participant=i, graph=graph, p=p, t=t,
                            words=encode_column(Raag(graph), int_to_bits(y, setup.k), word_length,
                                                rng.getrandbits(64)))

@@ -103,6 +103,13 @@ class TestHomRound:
         with pytest.raises(AuthError):
             hom_respond(RoundState(commitment=commitment, session=beta), key)
 
+    def test_respond_needs_a_session_homomorphism(self):
+        key = hom_keygen(6, 6, 1)
+        commitment, beta = hom_commit(key.g1, 5, 2)
+        for session in (None, beta.assignment):  # none, or a plain dict in place of a VertexMap
+            with pytest.raises(AuthError, match="round holds no session homomorphism"):
+                hom_respond(RoundState(commitment, session, challenge=1), key)
+
     def test_honest_flow_accepts_both_challenges(self):
         key = hom_keygen(6, 6, 1)
         for c in (0, 1):
@@ -273,6 +280,13 @@ class TestSubRound:
         commitment, beta = sub_commit(key.ambient, key.s1, 2)
         with pytest.raises(AuthError):
             sub_respond(RoundState(commitment=commitment, session=beta), key)
+
+    def test_respond_needs_a_session_bijection(self):
+        key = sub_keygen(12, 5, 1)
+        commitment, beta = sub_commit(key.ambient, key.s1, 2)
+        for session in (None, tuple(beta.items())):
+            with pytest.raises(AuthError, match="round holds no session bijection"):
+                sub_respond(RoundState(commitment, session, challenge=1), key)
 
 
 class TestProtocol:

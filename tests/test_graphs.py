@@ -543,6 +543,11 @@ class TestMaskCore:
                 assert g != SimplicialGraph(vertices, [tuple(e) for e in toggled])
                 assert g != SimplicialGraph(vertices[::-1], listed)
 
+    def test_never_equal_to_another_type(self):
+        g = SimplicialGraph(("a", "b"), [("a", "b")])
+        assert g.__eq__(g.vertices) is NotImplemented
+        assert g != g.vertices and g != g.edges and g != object()
+
     @staticmethod
     def _pulled_back(g, labels):
         """The plain reference for ``_induced_masks``: one ``has_edge`` per position pair."""

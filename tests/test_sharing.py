@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagcrypt import sharing
-from raagcrypt.graphs import SimplicialGraph, random_graph
+from raagcrypt.graphs import GraphError, SimplicialGraph, random_graph
 from raagcrypt.raag import Raag, is_trivial, sample_nontrivial_word, sample_trivial_word
 from raagcrypt.sharing import (
     DealerSetupNN,
@@ -343,6 +343,17 @@ class TestDealTN:
         setup, shares = deal_tn([g, g, g], x=2, p=7, t=2, seed=9, k=5, word_length=8)
         assert setup.k == 5
         assert all(len(s.words) == 5 for s in shares)
+
+    def test_participant_graphs_must_share_the_generators(self):
+        # the rule DealerSetupNN applies to (n,n) dealing: one public alphabet for every share
+        g = random_graph(4, 0.5, 5)  # v0..v3
+        other = SimplicialGraph(("x", "y", "z"), [("x", "y")])
+        for graphs in ([g, other, g], [g, g, random_graph(3, 0.5, 5)]):
+            with pytest.raises(GraphError, match="exactly the public generators"):
+                deal_tn(graphs, x=2, p=7, t=2, seed=9)
+        empty = SimplicialGraph(())
+        with pytest.raises(SharingError, match="need at least one public generator"):
+            deal_tn([empty, empty], x=2, p=7, t=2, seed=9)
 
 
 class TestShareFiles:
