@@ -13,7 +13,7 @@ import time
 from typing import Sequence
 
 from .graphs import Record, SimplicialGraph
-from .raag import Raag, is_trivial, sample_trivial_word
+from .raag import Raag, _check_trivial_length, is_trivial, sample_trivial_word
 
 __all__ = ["BenchPoint", "BenchResult", "fit_loglog_slope", "run_word_benchmark"]
 
@@ -59,6 +59,8 @@ def run_word_benchmark(graph: SimplicialGraph, lengths: Sequence[int],
         raise ValueError("need at least 1 repetition")
     if not graph.vertices:
         raise ValueError("benchmark graph must have at least one vertex")
+    for length in lengths:  # every length, before the first word is sampled
+        _check_trivial_length(length)
     group = Raag(graph)
     rng = random.Random(seed)
     points = []

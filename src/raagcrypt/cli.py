@@ -214,6 +214,12 @@ def cmd_reconstruct_tn(args) -> int:
         elif (values["p"], values["t"]) != (p, t):
             raise sharing.SharingError(f"{path}: inconsistent p or t across shares")
         points.append((values["participant"], sharing.bits_to_int(bits)))
+    off = sharing.points_off_polynomial(points, p, t)  # checks every share, not only t
+    if off:
+        lowest = ", ".join(str(i) for i, _ in sorted(points)[:t])
+        print(f"inconsistent shares: off the polynomial through participants {lowest}: "
+              + ", ".join(f"participant {i}" for i in off), file=sys.stderr)
+        return EXIT_NEGATIVE
     return _report_secret(sharing.lagrange_reconstruct(points, p, t), args.expect)
 
 

@@ -251,7 +251,7 @@ def oracle_is_trivial(g: Raag, w: Word, max_reduced_length: int = 14) -> bool:
 # word samplers
 
 
-def _shuffle_commuting(rng: random.Random, codes: list[int], commute: tuple[int, ...]) -> None:
+def _shuffle_commuting(rng: random.Random, codes: list[int], commute: tuple[bytes, ...]) -> None:
     """In-place obfuscation of letter codes: 4*len random attempts to swap an
     adjacent commuting pair. Length-preserving, triviality-preserving."""
     n = len(codes)
@@ -261,7 +261,7 @@ def _shuffle_commuting(rng: random.Random, codes: list[int], commute: tuple[int,
     for i in map(trunc, map(mul, starmap(rng.random, repeat((), 4 * n)), repeat(float(n - 1)))):
         a = codes[i]
         b = codes[i + 1]
-        if commute[a] >> b & 1:
+        if commute[a][b]:
             codes[i] = b
             codes[i + 1] = a
 
@@ -271,32 +271,58 @@ def _sample(graph: SimplicialGraph, seed: int, even: int, extra: bool) -> Word:
     letter and shuffled again when ``extra``. Runs on letter codes."""
     if not graph.vertices:
         raise ValueError("the group needs at least one generator")
-    # _randbelow(k) is the one draw behind randrange(k), randint(0, k - 1)
-    # and choice() of k items, so the words are those of the calls it replaces
+    # Each draw below k is random's _randbelow_with_getrandbits(k), the draw behind
+    # randrange(k), randint(0, k - 1) and choice() of k items, written out with no Python
+    # call per draw: k.bit_length() bits, drawn again while k or more. A letter's sign is
+    # a draw below 2, so two bits with 2 and 3 rejected; one bit would change every word
     letters, commute, edges = graph._letter_codes
-    n = len(graph.vertices)
+    n, ne = len(graph.vertices), len(edges)
+    nb, eb = n.bit_length(), ne.bit_length()
     rng = random.Random(seed)
-    below, rand = rng._randbelow, rng.random
+    bits, rand = rng.getrandbits, rng.random
     out: list[int] = []
     while len(out) < even:
         remaining = even - len(out)
-        if edges and remaining >= 4 and rand() < 0.7:
-            a, b = edges[below(len(edges))]
+        if ne and remaining >= 4 and rand() < 0.7:
+            while (r := bits(eb)) >= ne:
+                pass
+            a, b = edges[r]
             if rand() < 0.5:
                 a, b = b, a
-            max_conj = min(3, (remaining - 4) // 2)  # randint(0, max_conj) conjugating letters
-            conj = [2 * below(n) + below(2) for _ in range(below(max_conj + 1))]
+            k = min(4, remaining // 2 - 1)  # randint(0, k - 1) conjugating letters
+            while (r := bits(k.bit_length())) >= k:
+                pass
+            conj = []
+            for _ in range(r):
+                while (v := bits(nb)) >= n:
+                    pass
+                while (s := bits(2)) > 1:
+                    pass
+                conj.append(2 * v + s)
             out += conj
             out += (a, b, a + 1, b + 1)
             out += [c ^ 1 for c in reversed(conj)]
         else:
-            c = 2 * below(n) + below(2)
+            while (v := bits(nb)) >= n:
+                pass
+            while (s := bits(2)) > 1:
+                pass
+            c = 2 * v + s
             out += (c, c ^ 1)
     _shuffle_commuting(rng, out, commute)
     if extra:
-        out.append(2 * below(n) + below(2))
+        while (v := bits(nb)) >= n:
+            pass
+        while (s := bits(2)) > 1:
+            pass
+        out.append(2 * v + s)
         _shuffle_commuting(rng, out, commute)
     return tuple(map(letters.__getitem__, out))
+
+
+def _check_trivial_length(target_length: int) -> None:
+    if target_length <= 0 or target_length % 2:
+        raise ValueError("target length must be a positive even integer")
 
 
 def sample_trivial_word(g: Raag, target_length: int, seed: int) -> Word:
@@ -306,8 +332,7 @@ def sample_trivial_word(g: Raag, target_length: int, seed: int) -> Word:
     insertions, then obfuscated by random legal commuting swaps.
     Deterministic in the seed.
     """
-    if target_length <= 0 or target_length % 2:
-        raise ValueError("target length must be a positive even integer")
+    _check_trivial_length(target_length)
     return _sample(g.graph, seed, target_length, False)
 
 

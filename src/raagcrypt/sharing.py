@@ -42,6 +42,7 @@ __all__ = [
     "is_prime",
     "shamir_split",
     "lagrange_reconstruct",
+    "points_off_polynomial",
     "int_to_bits",
     "bits_to_int",
     "random_dealer_setup_nn",
@@ -201,32 +202,55 @@ def shamir_split(x: int, p: int, t: int, n: int, seed: int,
     return setup, points
 
 
-def lagrange_reconstruct(points: Sequence[tuple[int, int]], p: int, t: int) -> int:
-    """Interpolate f(0) from at least t points (i, y_i) over Z_p.
-
-    When more than t points are given, the t with the lowest indices are
-    used; indices must be distinct and nonzero mod p, and values in Z_p.
-    """
+def _check_points(points: Sequence[tuple[int, int]], p: int, t: int) -> None:
     _check_modulus_and_threshold(p, t)
     if len(points) < t:
         raise SharingError(f"need at least {t} points, got {len(points)}")
-    chosen = sorted(points)[:t]
-    indices = [i for i, _ in chosen]
-    if len(set(i % p for i in indices)) != t:
+    indices = [i % p for i, _ in points]
+    if len(set(indices)) != len(indices):
         raise SharingError("duplicate evaluation indices")
-    if any(i % p == 0 for i in indices):
+    if 0 in indices:
         raise SharingError("evaluation index divisible by p")
-    if any(not 0 <= y < p for _, y in chosen):
+    if any(not 0 <= y < p for _, y in points):
         raise SharingError(f"share value outside Z_{p}")
+
+
+def _interpolate(chosen: Sequence[tuple[int, int]], x: int, p: int) -> int:
+    """f(x) over Z_p for the f of degree below ``len(chosen)`` through the chosen points."""
     acc = 0
     for i, y in chosen:
         num, den = 1, 1
         for j, _ in chosen:
             if j != i:
-                num = (num * -j) % p
+                num = (num * (x - j)) % p
                 den = (den * (i - j)) % p
         acc = (acc + y * num * pow(den, -1, p)) % p
     return acc
+
+
+def lagrange_reconstruct(points: Sequence[tuple[int, int]], p: int, t: int) -> int:
+    """Interpolate f(0) from at least t points (i, y_i) over Z_p.
+
+    When more than t points are given, the t with the lowest indices are
+    used; indices must be distinct and nonzero mod p, and values in Z_p.
+    ``points_off_polynomial`` checks the others.
+    """
+    chosen = sorted(points)[:t]
+    _check_points(chosen, p, t)
+    return _interpolate(chosen, 0, p)
+
+
+def points_off_polynomial(points: Sequence[tuple[int, int]], p: int, t: int) -> list[int]:
+    """The indices, ascending, of the points not on the polynomial of degree below t
+    through the t points with the lowest indices (those ``lagrange_reconstruct`` uses).
+
+    Empty when all of them lie on one such polynomial. Every point is checked as
+    ``lagrange_reconstruct`` checks the t it uses. A wrong share among the lowest t
+    moves the polynomial, so the indices named show that some share is wrong, not which.
+    """
+    ordered = sorted(points)
+    _check_points(ordered, p, t)
+    return [i for i, y in ordered[t:] if _interpolate(ordered[:t], i, p) != y]
 
 
 def int_to_bits(y: int, k: int) -> BitColumn:

@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive. These functions exist to check
 the real implementations against methods too simple to be wrong, so they
-must not share code or ideas with the modules under test.
+must not share code or ideas with the modules under test. The one
+exception is ``reference_sample``: the word sampler as it was written
+before its draws were inlined, kept so that the faster sampler must
+reproduce its words.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -184,3 +188,41 @@ def normal_closure_ball(g: SimplicialGraph, cap: int) -> set[Word]:
                     ball.add(candidate)
                     frontier.append(candidate)
     return ball
+
+
+def reference_sample(g: SimplicialGraph, seed: int, even: int, extra: bool) -> Word:
+    """The word sampler written with ``random.Random._randbelow`` for every draw below k
+    and an int mask per letter code for the commute test: the words that the package's
+    inlined draws and byte-row table must reproduce, letter for letter."""
+    n = len(g.vertices)
+    letters = tuple(l for v in g.vertices for l in ((v, 1), (v, -1)))
+    doubled = [sum(3 << 2 * j for j in range(n) if m >> j & 1) for m in g.adjacency_masks()]
+    commute = [doubled[c >> 1] for c in range(2 * n)]  # bit b set iff codes c and b commute
+    edges = [(2 * g.index_of(u), 2 * g.index_of(v)) for u, v in g.edge_list()]
+    rng = random.Random(seed)
+    below, rand = rng._randbelow, rng.random
+
+    def shuffle(codes: list[int]) -> None:
+        for _ in range(4 * len(codes) if len(codes) > 1 else 0):
+            i = int(rand() * (len(codes) - 1))
+            if commute[codes[i]] >> codes[i + 1] & 1:
+                codes[i], codes[i + 1] = codes[i + 1], codes[i]
+
+    out: list[int] = []
+    while len(out) < even:
+        remaining = even - len(out)
+        if edges and remaining >= 4 and rand() < 0.7:
+            a, b = edges[below(len(edges))]
+            if rand() < 0.5:
+                a, b = b, a
+            max_conj = min(3, (remaining - 4) // 2)
+            conj = [2 * below(n) + below(2) for _ in range(below(max_conj + 1))]
+            out += conj + [a, b, a + 1, b + 1] + [c ^ 1 for c in reversed(conj)]
+        else:
+            c = 2 * below(n) + below(2)
+            out += [c, c ^ 1]
+    shuffle(out)
+    if extra:
+        out.append(2 * below(n) + below(2))
+        shuffle(out)
+    return tuple(letters[c] for c in out)

@@ -26,6 +26,7 @@ import raagcrypt
 from raagcrypt import bench
 from raagcrypt.cli import main
 from raagcrypt.graphs import GraphError, parse_graph
+from raagcrypt.raag import sample_trivial_word
 
 EDGE_GRAPH = "vertices a b\nedge a b\n"
 FREE_GRAPH = "vertices a b\n"
@@ -300,6 +301,41 @@ class TestSharingCommands:
         bad.write_text(second)
         code, out, err = run(capsys, "reconstruct-tn", str(first), str(bad))
         assert code == 2 and out == "" and f"{bad}: {message}" in err
+
+    def test_reconstruct_tn_names_shares_off_the_polynomial(self, capsys, tmp_path):
+        # with t = 3, shares 1-3 fix the polynomial; a wrong share 1 used to give a wrong
+        # secret with exit 0, in either file order, and share 4 was never read
+        d = tmp_path / "tn"
+        assert run(capsys, "deal-tn", "--secret", "40", "--prime", "97", "--threshold", "3",
+                   "--participants", "5", "--generators", "5", "--seed", "3",
+                   "--out-dir", str(d))[0] == 0
+        decoded = [d / f"d{j}.txt" for j in (1, 2, 3, 4)]
+        for j, out in enumerate(decoded, 1):
+            assert run(capsys, "decode-share", "--share", str(d / f"share_p{j}.txt"),
+                       "--graph", str(d / f"secret_graph_p{j}.txt"), "--out", str(out))[0] == 0
+        assert run(capsys, "reconstruct-tn", *map(str, decoded)) == (0, "40\n", "")
+        text = decoded[0].read_text()
+        assert "bits 1011000\n" in text and "value 88\n" in text
+        decoded[0].write_text(text.replace("bits 1011000", "bits 1011011")
+                              .replace("value 88", "value 91"))
+        for files in (decoded, decoded[::-1]):
+            code, out, err = run(capsys, "reconstruct-tn", *map(str, files), "--expect", "40")
+            assert code == 1 and out == ""
+            assert err == ("inconsistent shares: off the polynomial through participants "
+                           "1, 2, 3: participant 4\n")
+        assert run(capsys, "reconstruct-tn", *map(str, decoded[1:])) == (0, "40\n", "")
+
+    def test_reconstruct_tn_checks_every_share_given(self, capsys, tmp_path):
+        # f(X) = 3 + 2X over Z_11: a third share must be a valid point too
+        paths = [tmp_path / f"dec{j}.txt" for j in (1, 2, 3)]
+        paths[0].write_text("scheme tn\nparticipant 1\nbits 0101\np 11\nt 2\n")
+        paths[1].write_text("scheme tn\nparticipant 2\nbits 0111\np 11\nt 2\n")
+        for third, code, out, message in [("participant 3\nbits 1001", 0, "3\n", ""),
+                                          ("participant 3\nbits 1111", 2, "", "outside Z_11"),
+                                          ("participant 2\nbits 0111", 2, "", "duplicate")]:
+            paths[2].write_text(f"scheme tn\n{third}\np 11\nt 2\n")
+            result = run(capsys, "reconstruct-tn", *map(str, paths))
+            assert result[:2] == (code, out) and message in result[2]
 
     def test_reconstruct_tn_expect_mismatch(self, capsys, tmp_path):
         paths = [tmp_path / "dec1.txt", tmp_path / "dec2.txt"]
@@ -626,6 +662,22 @@ class TestBenchCommand:
         code, out, err = run(capsys, "bench", "word", "--graph", str(path), "--lengths",
                              lengths, "--seed", "1")
         assert code == 2 and out == "" and message in err
+
+    def test_every_length_is_checked_before_a_word_is_sampled(self, capsys, monkeypatch,
+                                                              edge_graph):
+        sampled = []
+
+        def short_word(group, length, seed):  # raises on an odd length as the sampler does
+            word = sample_trivial_word(group, 2 if length % 2 == 0 else length, seed)
+            sampled.append(length)
+            return word
+
+        monkeypatch.setattr(bench, "sample_trivial_word", short_word)
+        code, out, err = run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",
+                             "1000000,2000000,3000001", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "target length must be a positive even integer" in err
+        assert sampled == []
 
     def test_small_run_reports_slope(self, capsys, edge_graph):
         code, out, _ = run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",

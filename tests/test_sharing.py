@@ -24,6 +24,7 @@ from raagcrypt.sharing import (
     is_prime,
     lagrange_reconstruct,
     parse_share,
+    points_off_polynomial,
     random_dealer_setup_nn,
     reconstruct_nn,
     shamir_split,
@@ -197,6 +198,23 @@ class TestShamir:
     def test_extra_points_lowest_indices_win(self):
         # (1,5),(2,0) lie on 3+2X mod 7; the point at 9 is junk and ignored
         assert lagrange_reconstruct([(9, 1), (2, 0), (1, 5)], 7, 2) == 3
+
+    def test_points_off_polynomial(self):
+        # (1,5),(2,0) lie on 3+2X mod 7, so f(3) = 2 and f(4) = 4
+        assert points_off_polynomial([(4, 4), (2, 0), (1, 5), (3, 2)], 7, 2) == []
+        assert points_off_polynomial([(4, 4), (2, 0), (1, 5), (3, 3)], 7, 2) == [3]
+        # a wrong share among the lowest t moves the polynomial: the right ones are named
+        assert points_off_polynomial([(1, 6), (2, 0), (3, 2), (4, 4)], 7, 2) == [3, 4]
+        _, points = shamir_split(9, 13, 3, 6, seed=5)
+        assert points_off_polynomial(points[::-1], 13, 3) == []
+        # every point is checked, not only the t that lagrange_reconstruct reads
+        for points, p, message in [([(1, 5), (2, 0), (9, 1)], 7, "duplicate evaluation indices"),
+                                   ([(1, 5), (2, 0), (7, 1)], 7, "divisible by p"),
+                                   ([(1, 5), (2, 0), (3, 7)], 7, "outside Z_7"),
+                                   ([(1, 5)], 7, "need at least 2 points"),
+                                   ([(1, 5), (2, 0)], 8, "8 is not prime")]:
+            with pytest.raises(SharingError, match=message):
+                points_off_polynomial(points, p, 2)
 
     def test_setup_invariants_enforced(self):
         with pytest.raises(SharingError):

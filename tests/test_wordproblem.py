@@ -7,11 +7,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import normal_closure_ball, quadratic_is_trivial, structure_is_trivial
+from conftest import (
+    normal_closure_ball,
+    quadratic_is_trivial,
+    reference_sample,
+    structure_is_trivial,
+)
 from raagcrypt.graphs import SimplicialGraph, induced_subgraph, random_graph
 from raagcrypt.raag import (
     OracleBoundError,
     Raag,
+    _sample,
     empty_piling,
     is_trivial,
     oracle_is_trivial,
@@ -418,6 +424,29 @@ class TestSamplers:
         g = Raag(SimplicialGraph(("a", "b", "c")))
         w = sample_trivial_word(g, 12, 5)
         assert is_trivial(g, w) and len(w) == 12
+
+    def test_words_match_the_reference_draws(self):
+        # every draw below k made with rng._randbelow(k) and the commute test on int masks:
+        # the inlined draws must give the same words. 8 and 16 vertices and a power-of-two
+        # edge count reject half of the vertex and edge draws, the sign draw rejects half
+        ring8 = tuple("abcdefgh")
+        ring16 = tuple(f"v{i}" for i in range(16))
+        graphs = [
+            SimplicialGraph(ring8, [(v, ring8[i - 1]) for i, v in enumerate(ring8)]),  # 8 edges
+            SimplicialGraph(ring16, [(v, ring16[i - d]) for i, v in enumerate(ring16)
+                                     for d in (1, 2)]),  # 32 edges
+            SimplicialGraph(("a",)),
+            SimplicialGraph(ring8[:5]),
+            SimplicialGraph(ring8[:5], itertools.combinations(ring8[:5], 2)),
+            random_graph(64, 0.8, 29),
+        ]
+        assert [len(g.edge_list()) for g in graphs[:2]] == [8, 32]
+        for g in graphs:
+            for seed in range(240):
+                length = 1 + seed % 40
+                even = length - length % 2
+                for extra in (True, False) if even else (True,):
+                    assert _sample(g, seed, even, extra) == reference_sample(g, seed, even, extra)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
