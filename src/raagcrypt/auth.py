@@ -119,6 +119,8 @@ class SubKeyPair(Record):
         self._set(ambient, s1, s2, alpha)
         if len(self.s1) != len(self.s2):
             raise AuthError("subgroup generating sets must have equal size")
+        if not self.s1:
+            raise AuthError("subgroup generating sets must not be empty")
         try:
             ok = verify_induced_subgraph_isomorphism(self.ambient, self.s1, self.s2,
                                                      self.alpha)
@@ -334,9 +336,12 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
                commitment: SimplicialGraph, challenge: int, response) -> bool:
     """Accept iff the response maps the committed graph bijectively ONTO
     the declared subset (image-set equality is literal here) preserving
-    edges and non-edges against the ambient graph."""
+    edges and non-edges against the ambient graph. An empty commitment is rejected, as in
+    ``hom_verify``: the empty map onto an empty subset would prove nothing."""
     if challenge not in (0, 1):
         raise AuthError(f"challenge must be 0 or 1, got {challenge!r}")
+    if not commitment.vertices:
+        return False
     if not isinstance(response, Mapping):
         return False
     expected = s1 if challenge == 0 else s2
@@ -487,8 +492,10 @@ def parse_public_key(text: str):
                 raise AuthError(f"bad graph section header {line!r}")
             current = sections.setdefault(fields[1], [])
         elif fields[0] == "subset":
-            if len(fields) < 2 or fields[1] in subsets:
+            if len(fields) < 3 or fields[1] in subsets:
                 raise AuthError(f"bad subset line {line!r}")
+            if len(set(fields[2:])) < len(fields) - 2:
+                raise AuthError(f"repeated member in subset line {line!r}")
             subsets[fields[1]] = fields[2:]
         else:
             if current is None:

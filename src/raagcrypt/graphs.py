@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property, lru_cache
+from operator import and_, inv
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -433,7 +434,7 @@ def verify_graph_homomorphism(f: VertexMap) -> bool:
     masks pulled back along the map.
     """
     pulled = f.target._induced_masks(map(f.assignment.__getitem__, f.source.vertices))
-    return not any(s & ~t for s, t in zip(f.source.adjacency_masks(), pulled))
+    return not any(map(and_, f.source.adjacency_masks(), map(inv, pulled)))
 
 
 def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[int, int],
@@ -455,10 +456,13 @@ def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[in
     domain, lowest bit first, so they never need re-checking against
     assigned positions. No table is kept across nodes: each candidate's
     child domains are read straight off ``masks[i]``, the chosen
-    position's mask. One budget node is one attempted assignment; exceeding
-    ``budget`` raises SearchBudgetExceeded. Returns a list holding each
-    position's candidate at its index, or ``None`` once the space is
-    exhausted, and the number of nodes used.
+    position's mask. Each node copies the free-position list once (the
+    parent's frame keeps its own) and deletes its position from that copy
+    and from its child-domain list, which that node alone owns. One budget
+    node is one attempted assignment; exceeding ``budget`` raises
+    SearchBudgetExceeded. Returns a list holding each position's candidate
+    at its index, or ``None`` once the space is exhausted, and the number
+    of nodes used.
     """
     assigned = [0] * (max(domains, default=-1) + 1)
     nodes = 0
@@ -467,10 +471,12 @@ def _forward_check(masks: Sequence[int] | Mapping[int, int], domains: Mapping[in
     free = sorted(domains, key=lambda i: -masks[i].bit_count())
     child = [domains[i] for i in free]
     while free:
-        sizes = [d.bit_count() for d in child]
+        sizes = list(map(int.bit_count, child))
         k = sizes.index(min(sizes))
         i, dom = free[k], child[k]
-        free, rest = free[:k] + free[k + 1:], child[:k] + child[k + 1:]
+        free = free.copy()  # the parent's frame keeps its own; ``child`` is this node's
+        del free[k], child[k]
+        rest = child
         m = masks[i]
         while True:
             while not dom:  # backtrack to the newest frame with a candidate left
@@ -536,12 +542,13 @@ def verify_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
         raise GraphError("map is not a bijection onto the second subset")
     index, adj = g._index, g._masks
     at = {index[u]: index[v] for u, v in f.items()}
-    inside1, inside2 = sum(1 << a for a in at), sum(1 << b for b in at.values())
+    bit_at = {1 << a: 1 << b for a, b in at.items()}  # each member's bit to its image's
+    inside1, inside2 = sum(bit_at), sum(bit_at.values())
     for a, b in at.items():
         rest, pushed = adj[a] & inside1, 0
         while rest:
             low = rest & -rest
-            pushed |= 1 << at[low.bit_length() - 1]
+            pushed |= bit_at[low]
             rest ^= low
         if pushed != adj[b] & inside2:
             return False
@@ -572,9 +579,9 @@ def find_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
         return None
     index, adj, verts = g._index, g._masks, g.vertices
     # positions and candidates are the members' ambient indices
-    left = sorted(index[v] for v in m1)
-    ids = [index[v] for v in m2]
-    inside, right = sum(1 << a for a in left), sum(1 << c for c in ids)
+    left = sorted(map(index.__getitem__, m1))
+    ids = list(map(index.__getitem__, m2))
+    inside, right = sum(map((1).__lshift__, left)), sum(map((1).__lshift__, ids))
     masks = {a: adj[a] & inside for a in left}
     on = {c: adj[c] & right for c in ids}
     off = {c: right ^ on[c] ^ 1 << c for c in ids}

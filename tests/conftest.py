@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive. These functions exist to check
 the real implementations against methods too simple to be wrong, so they
-must not share code or ideas with the modules under test. The one
-exception is ``reference_sample``: the word sampler as it was written
-before its draws were inlined, kept so that the faster sampler must
-reproduce its words.
+must not share code or ideas with the modules under test. The two
+exceptions are ``reference_sample``, the word sampler as it was written
+before its draws were inlined, and ``reference_forward_check``, the
+search as it was written before its per-node lists stopped being rebuilt
+from slices: kept so that the faster code must reproduce their words,
+maps and node counts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 import pytest
 
 from raagcrypt import raag
-from raagcrypt.graphs import SimplicialGraph
+from raagcrypt.graphs import SearchBudgetExceeded, SimplicialGraph
 from raagcrypt.words import Word, free_reduce
 
 
@@ -226,3 +228,38 @@ def reference_sample(g: SimplicialGraph, seed: int, even: int, extra: bool) -> W
         out.append(2 * below(n) + below(2))
         shuffle(out)
     return tuple(letters[c] for c in out)
+
+
+def reference_forward_check(masks, domains, on, off, budget: int, problem: str):
+    """``graphs._forward_check`` as it was written with each node's free positions and
+    domains rebuilt from slices: the (assignment, nodes) and the SearchBudgetExceeded
+    messages that the package's search must reproduce, node for node."""
+    assigned = [0] * (max(domains, default=-1) + 1)
+    nodes = 0
+    stack = []
+    free = sorted(domains, key=lambda i: -masks[i].bit_count())
+    child = [domains[i] for i in free]
+    while free:
+        sizes = [d.bit_count() for d in child]
+        k = sizes.index(min(sizes))
+        i, dom = free[k], child[k]
+        free, rest = free[:k] + free[k + 1:], child[:k] + child[k + 1:]
+        m = masks[i]
+        while True:
+            while not dom:
+                if not stack:
+                    return None, nodes
+                free, rest, i, m, dom = stack.pop()
+            low = dom & -dom
+            dom ^= low
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"{problem} search exceeded {budget} nodes")
+            c = low.bit_length() - 1
+            yes, no = on[c], off[c]
+            child = [d & (yes if m >> j & 1 else no) for d, j in zip(rest, free)]
+            if all(child):
+                assigned[i] = c
+                stack.append((free, rest, i, m, dom))
+                break
+    return assigned, nodes

@@ -275,6 +275,14 @@ class TestSubRound:
         with pytest.raises(AuthError, match="challenge must be 0 or 1, got 2"):
             sub_verify(key.ambient, key.s1, key.s2, commitment, 2, beta)
 
+    def test_empty_commitment_rejected(self):
+        # the empty map onto an empty subset is a bijection that proves nothing
+        key = sub_keygen(12, 5, 1)
+        empty = auth.VertexSubset(key.ambient, ())
+        for c in (0, 1):
+            assert sub_verify(key.ambient, empty, empty, SimplicialGraph(()), c, {}) is False
+            assert sub_verify(key.ambient, key.s1, key.s2, SimplicialGraph(()), c, {}) is False
+
     def test_respond_needs_challenge(self):
         key = sub_keygen(12, 5, 1)
         commitment, beta = sub_commit(key.ambient, key.s1, 2)
@@ -477,6 +485,12 @@ class TestKeyInvariants:
                        s2=auth.VertexSubset(key.ambient, list(key.s2.ordered())[:-1]),
                        alpha=bad)
 
+    def test_sub_key_rejects_empty_subsets(self):
+        key = sub_keygen(12, 4, 1)
+        empty = auth.VertexSubset(key.ambient, ())
+        with pytest.raises(AuthError, match="subgroup generating sets must not be empty"):
+            SubKeyPair(ambient=key.ambient, s1=empty, s2=empty, alpha={})
+
 
 class TestBipartiteCheater:
     """ROADMAP item 11's open hole, pinned: a complete bipartite commitment maps
@@ -592,6 +606,18 @@ class TestKeyFiles:
             parse_public_key("scheme sub\ngraph ambient\nvertices a b\n")  # no subsets
         with pytest.raises(AuthError):
             parse_public_key("scheme hom\nvertices a\n")  # content outside sections
+
+    @pytest.mark.parametrize("members, message", [
+        ("", "bad subset line 'subset s1'"),
+        (" v1 v1", "repeated member in subset line 'subset s1 v1 v1'"),
+    ])
+    def test_public_key_rejects_empty_or_repeating_subsets(self, members, message):
+        key = sub_keygen(12, 5, 21)
+        lines = format_public_key(key).splitlines(keepends=True)
+        lines = [f"subset s1{members}\n" if line.startswith("subset s1 ") else line
+                 for line in lines]
+        with pytest.raises(AuthError, match=message):
+            parse_public_key("".join(lines))
 
     def test_private_key_errors(self):
         key = sub_keygen(12, 5, 21)

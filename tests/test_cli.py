@@ -516,6 +516,31 @@ class TestAuthCommands:
                              "--rounds", "2" if name else "0")
         assert code == 2 and out == "" and err.startswith("error: ") and message in err
 
+    def test_sub_key_with_empty_subsets_exits_2(self, capsys, tmp_path):
+        # empty subsets took the empty map each round: every round accepted, no key needed
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        run(capsys, "auth", "keygen", "--scheme", "sub", "--seed", "1", "--out-dir", str(key_dir))
+        public, private = tmp_path / "empty.txt", tmp_path / "none.txt"
+        public.write_text("".join(
+            " ".join(line.split()[:2]) + "\n" if line.startswith("subset ") else line
+            for line in (key_dir / "public_key.txt").read_text().splitlines(keepends=True)))
+        private.write_text("")
+        code, out, err = run(capsys, "auth", "prove", "--public", str(public),
+                             "--private", str(private), "--rounds", "3", "--seed", "1",
+                             "--challenge-seed", "2", "--out-dir", str(run_dir))
+        assert code == 2 and out == "" and "bad subset line 'subset s1'" in err
+        assert not run_dir.exists()
+        run_dir.mkdir()
+        for i in (1, 2, 3):
+            (run_dir / f"round{i}_commitment.txt").write_text("vertices\n")
+            (run_dir / f"round{i}_response.txt").write_text("")
+        (run_dir / "transcript.txt").write_text(
+            "".join(f"round {i} challenge {i % 2} verdict accept\n" for i in (1, 2, 3))
+            + "accept true\n")
+        code, out, err = run(capsys, "auth", "verify", "--public", str(public),
+                             "--dir", str(run_dir), "--rounds", "3")
+        assert code == 2 and out == "" and "bad subset line 'subset s1'" in err
+
     def test_prove_on_an_empty_g1_exits_2(self, capsys, tmp_path):
         public, private = tmp_path / "public_key.txt", tmp_path / "private_key.txt"
         public.write_text("scheme hom\ngraph g1\nvertices\ngraph g2\nvertices b0 b1 b2\n"

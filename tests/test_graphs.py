@@ -12,6 +12,7 @@ from conftest import (
     brute_force_homomorphism_exists,
     brute_force_induced_isomorphism_exists,
     brute_force_three_colorable,
+    reference_forward_check,
 )
 from raagcrypt import auth, graphs
 from raagcrypt.graphs import (
@@ -439,6 +440,42 @@ class TestSearchGolden:
             for budget in (10**6, rng.choice(budgets)):
                 add(lambda: find_induced_subgraph_isomorphism(g, s1, s2, budget=budget))
         assert h.hexdigest() == self.DIGEST
+
+
+class TestForwardCheckReference:
+    """The search reproduces ``reference_forward_check`` on the inputs both finders build."""
+
+    @staticmethod
+    def _outcome(search, args, budget):
+        try:
+            return search(*args, budget, "test")
+        except SearchBudgetExceeded as e:
+            return str(e)
+
+    def test_forward_check_matches_reference(self, monkeypatch):
+        rng = random.Random(2424)
+        calls = []  # (masks, domains, on, off) as each finder passes them
+        monkeypatch.setattr(graphs, "_forward_check",
+                            lambda *args: calls.append(args[:4]) or (None, 0))
+        for _ in range(350):  # all-ones domains; none at all on an empty target
+            source = random_graph(rng.randint(0, 14), rng.random(), rng.getrandbits(32))
+            target = random_graph(rng.randint(0, 20), rng.random(), rng.getrandbits(32))
+            find_graph_homomorphism(source, target)
+        for _ in range(175):  # planted keys: degree-filtered domains that hold a map
+            m = rng.randint(1, 14)
+            key = auth.sub_keygen(rng.randint(2 * m, 40), m, rng.getrandbits(32))
+            find_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2)
+        for _ in range(175):  # overlapping random subsets: often an empty domain
+            g = random_graph(rng.randint(2, 40), rng.random(), rng.getrandbits(32))
+            k = rng.randint(0, min(14, len(g.vertices)))
+            find_induced_subgraph_isomorphism(g, rng.sample(g.vertices, k),
+                                              rng.sample(g.vertices, k))
+        monkeypatch.undo()
+        assert len(calls) == 700
+        for args in calls:
+            for budget in (1, rng.randint(2, 12), 10**5):
+                assert (self._outcome(graphs._forward_check, args, budget)
+                        == self._outcome(reference_forward_check, args, budget))
 
 
 class TestRandomGraph:
