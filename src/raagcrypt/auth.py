@@ -31,8 +31,8 @@ is NP-complete in general.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from functools import lru_cache, partial
-from typing import Mapping
 
 from .graphs import (
     GraphError,
@@ -161,10 +161,25 @@ class Transcript(Record):
 
 
 def _random_images(target: SimplicialGraph, count: int, rng: random.Random) -> list[str]:
-    targets = target.vertices
+    targets, bits = target.vertices, rng.getrandbits
     if not targets:
         raise AuthError("target graph must have at least one vertex")
-    return [targets[rng._randbelow(len(targets))] for _ in range(count)]  # randrange's draw
+    k, width, images = len(targets), len(targets).bit_length(), []
+    for _ in range(count):
+        while (r := bits(width)) >= k:  # randrange's draw, as in _shuffle: no Python call
+            pass
+        images.append(targets[r])
+    return images
+
+
+def _shuffle(items: list, rng: random.Random) -> None:
+    """``rng.shuffle(items)``, the same swaps from the same draws. A draw below k is written
+    out as ``randrange``'s: k.bit_length() bits, again while k or more (k = 1 reads to a 0)."""
+    bits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        while (j := bits((i + 1).bit_length())) > i:
+            pass
+        items[i], items[j] = items[j], items[i]
 
 
 @lru_cache(maxsize=64)
@@ -266,8 +281,8 @@ def hom_verify(g1: SimplicialGraph, g2: SimplicialGraph,
             response = VertexMap(commitment, expected_target, response)
         except GraphError:
             return False
-    if (not isinstance(response, VertexMap) or response.source != commitment
-            or response.target != expected_target):
+    if (not isinstance(response, VertexMap)  # tuples skip __eq__ for identical graphs
+            or (response.source, response.target) != (commitment, expected_target)):
         return False
     return verify_graph_homomorphism(response)
 
@@ -316,7 +331,7 @@ def sub_commit(ambient: SimplicialGraph, subset: VertexSubset,
     The relabeling bijection beta: V(G) -> subset is withheld."""
     members = list(subset.ordered())
     rng = random.Random(seed)
-    rng.shuffle(members)
+    _shuffle(members, rng)
     return _pullback_graph(ambient, members, "g", rng)
 
 
@@ -385,7 +400,7 @@ def scheme_steps(public: tuple, commit_size: int | None = None):
 
     def junk(commitment: SimplicialGraph, c: int, rng: random.Random) -> dict[str, str]:
         members = list(subsets[c].ordered())
-        rng.shuffle(members)
+        _shuffle(members, rng)
         return dict(zip(commitment.vertices, members))
 
     return commit, sub_respond, junk, partial(sub_verify, *public[1:])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Sequence
+from collections.abc import Sequence
 
 from .graphs import Record, SimplicialGraph
 from .raag import Raag, _check_trivial_length, is_trivial, sample_trivial_word

@@ -8,8 +8,9 @@ Edges are stored as one int bitmask per vertex. Graphs read from outside
 are fully validated; graphs the package generates are built from their
 masks with a structural check only. Pulling a graph back along a label
 list (every commitment and map check) takes one C-level ``bytes.translate``
-per row up to 256 vertices, through tables memoized by mask value (at most
-1024 of 256 bytes, about 0.45 MB at worst); larger graphs walk the bits.
+per row up to 256 vertices, through 256-byte tables memoized by mask value
+(at most 1024, 0.45 MB) and kept by each graph, which holds its own (up to
+74 KB) after the memo evicts them; larger graphs walk the bits.
 
 Two search problems live here, both solved exactly with an explicit node
 budget: strict graph homomorphism (adjacent vertices must map to
@@ -26,9 +27,9 @@ results are deterministic.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from operator import and_, inv
-from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "GraphError",
@@ -244,16 +245,20 @@ class SimplicialGraph:
         declaration order)."""
         return self._masks
 
+    @cached_property
+    def _row_tables(self) -> tuple[bytes, ...]:
+        return tuple(map(_row_table, self._masks))
+
     def _induced_masks(self, labels: Iterable[str]) -> tuple[int, ...]:
         """Masks on positions 0..k-1, ``i`` and ``j`` adjacent iff ``labels[i]`` and
         ``labels[j]`` are; labels may repeat (a label is never adjacent to itself). Up to
         256 vertices a row is ``int(.., 2)`` of the reversed index bytes translated through
-        its ``_row_table``; above that an index does not fit a byte, and rows walk the bits."""
+        ``_row_tables[a]``; above that an index does not fit a byte, and rows walk the bits."""
         masks, index = self._masks, self._index
         if len(masks) <= 256:
-            idx = bytes(map(index.__getitem__, labels))
+            idx, rows = bytes(map(index.__getitem__, labels)), self._row_tables
             key = idx[::-1]  # position k-1 first: it is the row's top bit
-            return tuple([int(key.translate(_row_table(masks[a])), 2) for a in idx])
+            return tuple([int(key.translate(rows[a]), 2) for a in idx])
         idx = [index[v] for v in labels]
         at = [0] * len(masks)  # the positions holding each vertex
         present = 0

@@ -17,7 +17,7 @@ columns; any t decoded shares recover x by Lagrange interpolation.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .graphs import GraphError, Record, SimplicialGraph, random_graph
 from .raag import Raag, is_trivial, sample_nontrivial_word, sample_trivial_word

@@ -11,8 +11,8 @@ Text format: whitespace-separated tokens, ``v`` for a generator and
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]

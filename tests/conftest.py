@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive. These functions exist to check
 the real implementations against methods too simple to be wrong, so they
-must not share code or ideas with the modules under test. The two
+must not share code or ideas with the modules under test. The
 exceptions are ``reference_sample``, the word sampler as it was written
-before its draws were inlined, and ``reference_forward_check``, the
+before its draws were inlined, ``reference_random_images`` and
+``reference_shuffle``, the authentication draws as they were written
+before they too were inlined, and ``reference_forward_check``, the
 search as it was written before its per-node lists stopped being rebuilt
 from slices: kept so that the faster code must reproduce their words,
-maps and node counts.
+images, orders, maps and node counts.
 """
 
 from __future__ import annotations
@@ -228,6 +230,22 @@ def reference_sample(g: SimplicialGraph, seed: int, even: int, extra: bool) -> W
         out.append(2 * below(n) + below(2))
         shuffle(out)
     return tuple(letters[c] for c in out)
+
+
+def reference_random_images(target: SimplicialGraph, count: int, rng: random.Random) -> list[str]:
+    """``auth._random_images`` as it was written, one ``rng._randbelow`` per image: the images
+    and generator states that the package's inlined draws must reproduce."""
+    targets = target.vertices
+    return [targets[rng._randbelow(len(targets))] for _ in range(count)]
+
+
+def reference_shuffle(x: list, rng: random.Random) -> None:
+    """``random.Random.shuffle`` as the standard library writes it: position i, from the last
+    down to 1, swaps with position ``rng._randbelow(i + 1)``."""
+    randbelow = rng._randbelow
+    for i in reversed(range(1, len(x))):
+        j = randbelow(i + 1)
+        x[i], x[j] = x[j], x[i]
 
 
 def reference_forward_check(masks, domains, on, off, budget: int, problem: str):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import reference_random_images, reference_shuffle
 from raagcrypt import auth, graphs
 from raagcrypt.auth import (
     STRATEGIES,
@@ -39,6 +40,27 @@ from raagcrypt.graphs import (
     verify_graph_homomorphism,
     verify_induced_subgraph_isomorphism,
 )
+
+
+class TestDraws:
+    def test_images_and_shuffle_match_the_reference_draws(self):
+        # rng._randbelow(k) for each image and random.Random.shuffle: the written-out draws
+        # must give the same images and orders and leave the generator in the same state.
+        # Sizes 1-40 cover k = 1 (bits until a 0), every power of two and its neighbours
+        targets = [SimplicialGraph(f"t{i}" for i in range(k)) for k in range(1, 41)]
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for k, target in enumerate(targets, start=1):
+                count = (seed + k) % 9
+                assert (auth._random_images(target, count, rng)
+                        == reference_random_images(target, count, ref))
+                assert rng.getstate() == ref.getstate()
+            for length in range(41):
+                items, expected = list(range(length)), list(range(length))
+                auth._shuffle(items, rng)
+                reference_shuffle(expected, ref)
+                assert items == expected
+                assert rng.getstate() == ref.getstate()
 
 
 class TestHomKeygen:

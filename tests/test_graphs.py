@@ -605,6 +605,18 @@ class TestMaskCore:
                 assert g._induced_masks(labels) == expected
                 assert g._induced_masks(iter(labels)) == expected  # read once
 
+    def test_row_tables_outlive_the_memo(self):
+        # a graph keeps its own rows' tables from its first pullback; a later pullback must
+        # give the same masks after the memo is emptied, and above 256 vertices no tuple is kept
+        rng = random.Random(808)
+        for n in (1, 255, 256, 257):
+            g = random_graph(n, 0.3, n)
+            for _ in range(2):
+                labels = [rng.choice(g.vertices) for _ in range(rng.randint(1, 2 * n))]
+                assert g._induced_masks(labels) == self._pulled_back(g, labels)
+                graphs._row_table.cache_clear()
+            assert ("_row_tables" in vars(g)) == (n <= 256)
+
     def test_edge_list_is_a_fresh_list(self):
         g = cycle(5)
         first = g.edge_list()
