@@ -127,6 +127,8 @@ def is_trivial(g: Raag, w: Word) -> bool:
     |Nbar(v)| of them are left, reads the |Nbar(v)| non-adjacent tops.
     Either way it costs O(1 + |Nbar(v)|), and ``h`` drops past cancelled
     entries at the top, so on a fixed graph the pass is linear in ``len(w)``.
+    A sign that is no ``int`` gets ``letter``'s WordError at a slice or an
+    index, elsewhere (``(("a", 1.0), ("a", -1))``) the verdict of its value.
     """
     graph = g.graph
     index = graph._index
@@ -140,42 +142,47 @@ def is_trivial(g: Raag, w: Word) -> bool:
     left = [-1] * (len(w) + 1)
     covered = [0] * (len(w) + 1)
     h = 0
-    for gen, sign in w:
-        v = index.get(gen)
-        if v is None or (sign != 1 and sign != -1):
-            _check_letter(graph, (gen, sign))  # raises WordError
-        tv = top[v]
-        if tv * sign < 0:
-            tv = abs(tv)
-            newer = h - tv
-            if not newer:
-                top[v] = covered[h]
-                h -= 1
-                while not left[h]:
+    try:
+        for gen, sign in w:
+            v = index.get(gen)
+            if v is None or (sign != 1 and sign != -1):
+                _check_letter(graph, (gen, sign))  # raises WordError
+            tv = top[v]
+            if tv * sign < 0:
+                tv = abs(tv)
+                newer = h - tv
+                if not newer:
+                    top[v] = covered[h]
                     h -= 1
-                continue
-            nb = nbar[v]
-            if newer <= len(nb):
-                mask = nbar_masks[v]
-                for b in left[tv + 1:h + 1]:
-                    if b & mask:
-                        break
-                else:
-                    top[v] = covered[tv]
-                    left[tv] = 0
+                    while not left[h]:
+                        h -= 1
                     continue
-            else:
-                for u in nb:
-                    if abs(top[u]) > tv:
-                        break
+                nb = nbar[v]
+                if newer <= len(nb):
+                    mask = nbar_masks[v]
+                    for b in left[tv + 1:h + 1]:
+                        if b & mask:
+                            break
+                    else:
+                        top[v] = covered[tv]
+                        left[tv] = 0
+                        continue
                 else:
-                    top[v] = covered[tv]
-                    left[tv] = 0
-                    continue
-        h += 1
-        covered[h] = top[v]
-        left[h] = 1 << v
-        top[v] = sign * h
+                    for u in nb:
+                        if abs(top[u]) > tv:
+                            break
+                    else:
+                        top[v] = covered[tv]
+                        left[tv] = 0
+                        continue
+            h += 1
+            covered[h] = top[v]
+            left[h] = 1 << v
+            top[v] = sign * h
+    except TypeError:  # a sign equal to 1 or -1 but no int, at a slice or an index
+        for l in w:
+            _check_letter(graph, l)  # raises WordError at the first bad letter
+        raise
     verdict = not h
     if verdict and PARITY_ASSERTS:
         assert not any(exponent_sums(w).values()), \
@@ -251,14 +258,32 @@ def oracle_is_trivial(g: Raag, w: Word, max_reduced_length: int = 14) -> bool:
 # word samplers
 
 
+# 64-bit lanes for up to 1024 random() draws: keep a, the first output, less its 5 low bits
+_LANES = int.from_bytes(b"\xe0\xff\xff\xff\0\0\0\0" * 1024, "little")
+
+
 def _shuffle_commuting(rng: random.Random, codes: list[int], commute: tuple[bytes, ...]) -> None:
     """In-place obfuscation of letter codes: 4*len random attempts to swap an
     adjacent commuting pair. Length-preserving, triviality-preserving."""
     n = len(codes)
     if n < 2:
         return
-    # int(rng.random() * (n - 1)), 4n times, with no bytecode per draw
-    for i in map(trunc, map(mul, starmap(rng.random, repeat((), 4 * n)), repeat(float(n - 1)))):
+    m = n - 1
+    # int(rng.random() * m), 4n times, with no bytecode per draw. random() reads outputs a, b
+    # off one getrandbits lane, a lowest, as ((a >> 5) * 2**26 + (b >> 6)) / 2**53. Up to 256
+    # letters the lane times m holds the index in byte 4, unless byte 3 is 255 (b may carry)
+    if m < 256:
+        x = rng.getrandbits(256 * n)
+        lanes = ((x & _LANES) * m).to_bytes(32 * n, "little")
+        draws, top = bytearray(lanes[4::8]), lanes[3::8]
+        j = top.find(255)
+        while j >= 0:
+            lane = x >> 64 * j
+            draws[j] = int(((lane >> 5 & 0x7FFFFFF) << 26 | lane >> 38 & 0x3FFFFFF) / 2**53 * m)
+            j = top.find(255, j + 1)
+    else:
+        draws = map(trunc, map(mul, starmap(rng.random, repeat((), 4 * n)), repeat(float(m))))
+    for i in draws:
         a = codes[i]
         b = codes[i + 1]
         if commute[a][b]:

@@ -37,7 +37,7 @@ class WordError(ValueError):
 
 
 def letter(generator: str, sign: int) -> Letter:
-    if sign not in (1, -1):
+    if not isinstance(sign, int) or sign not in (1, -1):
         raise WordError(f"letter sign must be +1 or -1, got {sign!r}")
     if not generator:
         raise WordError("empty generator label")

@@ -4,18 +4,23 @@ Everything here is deliberately naive. These functions exist to check
 the real implementations against methods too simple to be wrong, so they
 must not share code or ideas with the modules under test. The
 exceptions are ``reference_sample``, the word sampler as it was written
-before its draws were inlined, ``reference_random_images`` and
+before its draws were inlined, ``reference_shuffle_commuting``, its
+shuffle as it was written before it read its draws off one
+``getrandbits`` product, ``reference_random_images`` and
 ``reference_shuffle``, the authentication draws as they were written
 before they too were inlined, and ``reference_forward_check``, the
 search as it was written before its per-node lists stopped being rebuilt
 from slices: kept so that the faster code must reproduce their words,
-images, orders, maps and node counts.
+swaps, images, orders, maps and node counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from itertools import repeat, starmap
+from math import trunc
+from operator import mul
 
 import pytest
 
@@ -230,6 +235,22 @@ def reference_sample(g: SimplicialGraph, seed: int, even: int, extra: bool) -> W
         out.append(2 * below(n) + below(2))
         shuffle(out)
     return tuple(letters[c] for c in out)
+
+
+def reference_shuffle_commuting(rng: random.Random, codes: list[int], commute) -> None:
+    """``raag._shuffle_commuting`` as it was written with one ``rng.random()`` per draw: the
+    swaps and generator states that the package's draws off one ``getrandbits`` must
+    reproduce."""
+    n = len(codes)
+    if n < 2:
+        return
+    # int(rng.random() * (n - 1)), 4n times, with no bytecode per draw
+    for i in map(trunc, map(mul, starmap(rng.random, repeat((), 4 * n)), repeat(float(n - 1)))):
+        a = codes[i]
+        b = codes[i + 1]
+        if commute[a][b]:
+            codes[i] = b
+            codes[i + 1] = a
 
 
 def reference_random_images(target: SimplicialGraph, count: int, rng: random.Random) -> list[str]:

@@ -15,6 +15,7 @@ from conftest import (
     reference_forward_check,
 )
 from raagcrypt import auth, graphs
+from raagcrypt.raag import Raag, is_trivial
 from raagcrypt.graphs import (
     GraphError,
     SearchBudgetExceeded,
@@ -149,6 +150,37 @@ class TestVerifyHomomorphism:
     def test_empty_map_verifies(self):
         empty = SimplicialGraph(())
         assert verify_graph_homomorphism(VertexMap(empty, triangle(), {}))
+
+    def test_agrees_with_the_group_homomorphism_check(self):
+        # the paper's equivalence of the group and graph homomorphism problems, with the
+        # package's solver as the group oracle: a label map f is a homomorphism of graphs
+        # exactly when, for each source edge ab, [f(a), f(b)] is trivial in A(target) and
+        # f(a) f(b)^-1 is not. The commutator clause alone also takes maps that send an
+        # edge to one vertex, such as the constant map, which no edge check accepts
+        def clauses(f):
+            group, commute, distinct = Raag(f.target), True, True
+            for a, b in f.source.edge_list():
+                x, y = f.assignment[a], f.assignment[b]
+                commute &= is_trivial(group, ((x, 1), (y, 1), (x, -1), (y, -1)))
+                distinct &= not is_trivial(group, ((x, 1), (y, -1)))
+            return commute, distinct
+
+        rng = random.Random(35)
+        counts = {(True, True): 0, (True, False): 0}
+        for _ in range(1000):
+            source = random_graph(rng.randint(1, 8), rng.random(), rng.getrandbits(32))
+            target = random_graph(rng.randint(1, 8), rng.random(), rng.getrandbits(32))
+            images = target.vertices
+            f = VertexMap(source, target, {v: rng.choice(images) for v in source.vertices})
+            commute, distinct = clauses(f)
+            assert (commute and distinct) == verify_graph_homomorphism(f)
+            if commute:
+                counts[commute, distinct] += 1
+        assert min(counts.values()) >= 100, counts
+        path = SimplicialGraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
+        constant = VertexMap(path, triangle(), dict.fromkeys(path.vertices, "t0"))
+        assert clauses(constant) == (True, False)
+        assert not verify_graph_homomorphism(constant)
 
     def test_map_errors_name_the_first_culprit(self):
         c3, t = cycle(3), triangle()

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import signal
+import struct
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     normal_closure_ball,
     quadratic_is_trivial,
     reference_sample,
+    reference_shuffle_commuting,
     structure_is_trivial,
 )
 from raagcrypt.graphs import SimplicialGraph, induced_subgraph, random_graph
@@ -18,6 +20,7 @@ from raagcrypt.raag import (
     OracleBoundError,
     Raag,
     _sample,
+    _shuffle_commuting,
     empty_piling,
     is_trivial,
     oracle_is_trivial,
@@ -25,7 +28,9 @@ from raagcrypt.raag import (
     sample_nontrivial_word,
     sample_trivial_word,
 )
-from raagcrypt.words import WordError, concat, exponent_sums, free_reduce, invert, parse_word
+from raagcrypt.words import (
+    WordError, concat, exponent_sums, free_reduce, invert, letter, parse_word,
+)
 
 EDGE = Raag(SimplicialGraph(("a", "b"), [("a", "b")]))
 FREE2 = Raag(SimplicialGraph(("a", "b")))
@@ -120,6 +125,21 @@ class TestIsTrivial:
             p = empty_piling(group)
             for l in w:
                 p = push_letter(p, l, group.graph)
+
+    def test_a_float_sign_is_refused_where_it_reaches_an_index(self):
+        # 1.0 == 1, so a check by value passes it; in FREE2 the third letter's cancel
+        # attempt then slices at the float slot of the first
+        w = (("a", 1.0), ("b", 1), ("a", -1))
+        with pytest.raises(WordError, match="sign"):
+            letter("a", 1.0)
+        with pytest.raises(WordError, match="sign"):
+            is_trivial(FREE2, w)
+        with pytest.raises(WordError, match="sign"):
+            oracle_is_trivial(FREE2, w)
+        with pytest.raises(WordError, match="sign"):
+            p = empty_piling(FREE2)
+            for l in w:
+                p = push_letter(p, l, FREE2.graph)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -460,6 +480,136 @@ class TestSamplers:
             sample_trivial_word(empty, 4, 0)
         with pytest.raises(ValueError):
             sample_nontrivial_word(empty, 4, 0)
+
+
+class CraftedStream:
+    """A stand-in generator over one list of 32-bit words, read the way ``random.Random``
+    reads its MT19937 outputs: ``random()`` takes two words a, b and gives
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and ``getrandbits(k)`` takes k / 32 words, the
+    first one lowest."""
+
+    def __init__(self, words):
+        self.words = words
+        self.pos = 0
+
+    def take(self, count):
+        assert self.pos + count <= len(self.words), "the stream ran out"
+        self.pos += count
+        return self.words[self.pos - count:self.pos]
+
+    def random(self):
+        a, b = self.take(2)
+        return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        assert k % 32 == 0
+        return int.from_bytes(struct.pack(f"<{k // 32}I", *self.take(k // 32)), "little")
+
+
+class AskedPairs:
+    """A commute table in which every pair of codes commutes, logging each pair it is asked
+    about: with distinct codes, the log spells out every swap index drawn."""
+
+    def __init__(self, size):
+        self.asked = []
+        self.rows = [self.Row(self.asked, a) for a in range(size)]
+
+    def __getitem__(self, a):
+        return self.rows[a]
+
+    class Row:
+        def __init__(self, asked, a):
+            self.asked, self.a = asked, a
+
+        def __getitem__(self, b):
+            self.asked.append((self.a, b))
+            return 1
+
+
+def boundary_draws(m):
+    """(a, b) output pairs for random() draws on both sides of every index boundary k / m.
+    a's top 27 bits, A, sit just below and at the boundary, each with b at 0 and at its
+    largest; below it, b's top 26 bits also sit on both sides of the least value that lifts
+    (A * 2**26 + (b >> 6)) * m to k * 2**53."""
+    draws = []
+    for k in range(m + 1):
+        first = -(-(k << 27) // m)  # the least A with A * m >= k * 2**27
+        for top in (first - 1, first):
+            if 0 <= top < 1 << 27:
+                draws += [(top << 5 | 31, 0), (top << 5, 0xFFFFFFFF)]
+        lift = -(-((k << 27) - (first - 1) * m << 26) // m)  # the least b >> 6 that lifts
+        if first and lift < 1 << 26:
+            draws += [(first - 1 << 5, lift << 6), (first - 1 << 5 | 31, lift - 1 << 6 | 63)]
+    return draws
+
+
+class TestShuffleDraws:
+    # raag._shuffle_commuting reads the draws int(random() * (n - 1)) off one getrandbits
+    # product up to 256 letters, and calls random() per draw above; either way the swaps
+    # and the generator's state after them must be those of the reference
+
+    def test_crafted_stream_reads_like_a_generator(self):
+        rng = random.Random(31)
+        words = [rng.getrandbits(32) for _ in range(4000)]
+        rng.seed(31)
+        stream = CraftedStream(words)
+        assert [stream.random() for _ in range(500)] == [rng.random() for _ in range(500)]
+        assert stream.getrandbits(64 * 500) == rng.getrandbits(64 * 500)
+        assert stream.pos == 1000 + 1000
+
+    def test_shuffle_matches_the_reference_over_seeds(self):
+        rng = random.Random(32)
+        commute = tuple(bytes(rng.random() < 0.5 for _ in range(8)) for _ in range(8))
+        probe = random.Random()
+        fixups = 0
+        for seed in range(1000):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for n in (0, 1, 2, 3, 16, 17, 255, 256, 257, 600):
+                codes = [c & 7 for c in rng.randbytes(n)]
+                expected = list(codes)
+                if 2 <= n <= 17:
+                    # the draws whose byte 3 of (a & ~31) * (n - 1) is 255, which the
+                    # package computes as random() does, counted at the sizes of share's words
+                    probe.setstate(fast.getstate())
+                    lanes = probe.getrandbits(256 * n).to_bytes(32 * n, "little")
+                    fixups += sum((a >> 5) * (n - 1) % 2**27 >= 255 << 19
+                                  for a, _ in struct.iter_unpack("<II", lanes))
+                _shuffle_commuting(fast, codes, commute)
+                reference_shuffle_commuting(slow, expected, commute)
+                assert codes == expected, (seed, n)
+                assert fast.getstate() == slow.getstate(), (seed, n)
+        assert fixups >= 100
+
+    def test_shuffle_matches_the_reference_at_every_index_boundary(self):
+        lifted = 0
+        for m in range(1, 256):
+            n = m + 1
+            draws = boundary_draws(m)
+            lifted += sum(int((a >> 5 << 26 | b >> 6) / 2**53 * m) != (a >> 5) * m >> 27
+                          for a, b in draws)
+            draws += [(0, 0)] * (-len(draws) % (4 * n))
+            for start in range(0, len(draws), 4 * n):
+                words = [w for draw in draws[start:start + 4 * n] for w in draw]
+                fast, slow = CraftedStream(words), CraftedStream(words)
+                fast_pairs, slow_pairs = AskedPairs(n), AskedPairs(n)
+                codes, expected = list(range(n)), list(range(n))
+                _shuffle_commuting(fast, codes, fast_pairs)
+                reference_shuffle_commuting(slow, expected, slow_pairs)
+                assert fast_pairs.asked == slow_pairs.asked, m
+                assert codes == expected and fast.pos == slow.pos == len(words), m
+        # draws whose index is one more than (a >> 5) * m >> 27, the lane product's byte 4
+        assert lifted >= 1000
+
+    def test_sampler_matches_the_reference_on_both_shuffle_paths(self):
+        # a 256-letter trivial word is shuffled off the lane product, and again above it
+        # with its extra letter; 1,000 letters take random() per draw
+        graphs = [random_graph(10, 0.5, 33), random_graph(3, 1.0, 34), SimplicialGraph(("a",))]
+        for g in graphs:
+            for length in (*range(250, 263), 1000):
+                even = length - length % 2
+                for seed in range(4):
+                    for extra in (True, False):
+                        assert _sample(g, seed, even, extra) == reference_sample(g, seed, even, extra)
 
 
 class TestVerdictGolden:
