@@ -219,6 +219,11 @@ class SimplicialGraph:
         return tuple(everyone & ~m & ~(1 << i) for i, m in enumerate(self._masks))
 
     @cached_property
+    def _bits(self) -> tuple[int, ...]:
+        """Each vertex's own bit, ``1 << i``: the solver reads it rather than allocate it."""
+        return tuple(1 << i for i in range(len(self.vertices)))
+
+    @cached_property
     def _letter_codes(self) -> tuple[tuple[tuple[str, int], ...], tuple[bytes, ...], tuple]:
         """The word sampler's tables by letter code, ``2i`` for vertex i and ``2i + 1`` for
         its inverse: each code's letter, each code's row (byte b of row a is 1 iff codes a

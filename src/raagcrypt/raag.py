@@ -127,13 +127,13 @@ def is_trivial(g: Raag, w: Word) -> bool:
     |Nbar(v)| of them are left, reads the |Nbar(v)| non-adjacent tops.
     Either way it costs O(1 + |Nbar(v)|), and ``h`` drops past cancelled
     entries at the top, so on a fixed graph the pass is linear in ``len(w)``.
-    A sign that is no ``int`` gets ``letter``'s WordError at a slice or an
-    index, elsewhere (``(("a", 1.0), ("a", -1))``) the verdict of its value.
+    A sign that is no ``int`` gets ``letter``'s WordError where ``top[v] * sign``
+    reaches a slice or an index, else (``(("a", 1.0), ("a", -1))``) its value's verdict.
     """
     graph = g.graph
     index = graph._index
     nbar = graph.nonneighbors()
-    nbar_masks = graph._nbar_masks
+    nbar_masks, bits = graph._nbar_masks, graph._bits
     w = tuple(w)
     # ``left[1:h + 1]`` holds the letters left, above a nonzero guard in slot 0;
     # ``top[v]`` is the slot of v's newest letter left, signed with its sign,
@@ -144,12 +144,12 @@ def is_trivial(g: Raag, w: Word) -> bool:
     h = 0
     try:
         for gen, sign in w:
-            v = index.get(gen)
-            if v is None or (sign != 1 and sign != -1):
+            v = index[gen]
+            if sign != 1 and sign != -1:
                 _check_letter(graph, (gen, sign))  # raises WordError
-            tv = top[v]
-            if tv * sign < 0:
-                tv = abs(tv)
+            tv = top[v] * sign
+            if tv < 0:
+                tv = -tv
                 newer = h - tv
                 if not newer:
                     top[v] = covered[h]
@@ -177,9 +177,9 @@ def is_trivial(g: Raag, w: Word) -> bool:
                         continue
             h += 1
             covered[h] = top[v]
-            left[h] = 1 << v
+            left[h] = bits[v]
             top[v] = sign * h
-    except TypeError:  # a sign equal to 1 or -1 but no int, at a slice or an index
+    except (KeyError, TypeError):  # an unknown generator, or a sign equal to 1 or -1 but no int
         for l in w:
             _check_letter(graph, l)  # raises WordError at the first bad letter
         raise

@@ -10,10 +10,14 @@ under test: 0 success/accept, 1 semantic negative, 2 usage or format
 error.
 """
 
+import collections
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -24,7 +28,7 @@ import pytest
 
 import raagcrypt
 from raagcrypt import bench
-from raagcrypt.cli import main
+from raagcrypt.cli import ROUND_FILES, TRANSCRIPT_FILE, main
 from raagcrypt.graphs import GraphError, parse_graph
 from raagcrypt.raag import sample_trivial_word
 
@@ -753,6 +757,128 @@ class TestBenchJson:
         for p in record["points"]:
             assert len(p["samples_s"]) == 2 and p["mean_s"] > 0 and p["ns_per_letter"] > 0
         assert math.isfinite(record["loglog_slope"])
+
+
+# ---------------------------------------------------------------------------
+# malformed input: every reader answers a mutated file with exit 0, 1 or 2
+
+
+# tokens that a mutation writes into a file: numbers, signs, labels and keywords of
+# every file format, a comment mark, a non-ASCII letter and a NUL
+MUTATION_TOKENS = ("", "0", "-1", "1.0", "2", "99999999999999999999", "zz", "v0", "v0^-1",
+                   "v1^-2", "^-1", "#", "é", "\x00", "vertices", "edge", "map", "scheme",
+                   "nn", "tn", "participant", "k", "p", "t", "bits", "value", "round")
+
+
+def mutate(rng, text):
+    """``text`` with one of seven mutations: a character replaced by a token, a line
+    deleted or duplicated, a token replaced or copied within its line, the text
+    truncated, or a token appended to a line. Tokens come from MUTATION_TOKENS or the
+    text itself."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    token = rng.choice(MUTATION_TOKENS + tuple(text.split()))
+    kind = rng.randrange(7)
+    if kind == 0:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + token + text[at + 1:]
+    if kind == 5:
+        return text[:rng.randrange(len(text) + 1)]
+    if kind == 1:
+        del lines[i]
+    elif kind == 2:
+        lines.insert(i, lines[i])
+    elif kind == 3 and tokens:
+        tokens[rng.randrange(len(tokens))] = token
+        lines[i] = " ".join(tokens)
+    elif kind == 4 and tokens:
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(tokens))
+        lines[i] = " ".join(tokens)
+    else:
+        lines[i] += " " + token
+    return "\n".join(lines)
+
+
+def walkthrough_targets(root):
+    """Write the README walkthrough's files under ``root`` (the auth runs cut to 4
+    rounds) and return every reader as ``(argv, file it reads)``, one entry per file."""
+    def ok(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([a.format(root) for a in argv]) == 0, argv
+
+    ok("graph", "gen", "--vertices", "10", "--edge-prob", "0.5", "--seed", "7",
+       "--out", "{}/g.txt")
+    ok("word", "sample", "--graph", "{}/g.txt", "--kind", "trivial", "--length", "20",
+       "--seed", "3", "--out", "{}/w.txt")
+    ok("deal-nn", "--secret", "10110", "--participants", "3", "--generators", "4",
+       "--seed", "9", "--out-dir", "{}/nn")
+    ok("deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2", "--participants", "4",
+       "--generators", "4", "--seed", "12", "--out-dir", "{}/tn")
+    decodes = [(f"{{}}/{scheme}/share_p{j}.txt", f"{{}}/{scheme}/secret_graph_p{j}.txt",
+                f"{{}}/{scheme}/dec_p{j}.txt") for scheme, js in (("nn", (1, 2, 3)), ("tn", (2, 4)))
+               for j in js]
+    for share, graph, out in decodes:
+        ok("decode-share", "--share", share, "--graph", graph, "--out", out)
+    for scheme in ("hom", "sub"):
+        ok("auth", "keygen", "--scheme", scheme, "--seed", "5", "--out-dir", f"{{}}/{scheme}_key")
+        ok("auth", "prove", "--public", f"{{}}/{scheme}_key/public_key.txt", "--private",
+           f"{{}}/{scheme}_key/private_key.txt", "--rounds", "4", "--seed", "11",
+           "--challenge-seed", "22", "--out-dir", f"{{}}/{scheme}_run")
+    nn_decoded = [out for _, _, out in decodes[:3]]
+    readers = [
+        (("graph", "validate", "{}/g.txt"), ["{}/g.txt"]),
+        (("word", "check", "{}/g.txt", "{}/w.txt"), ["{}/g.txt", "{}/w.txt"]),
+        (("word", "sample", "--graph", "{}/g.txt", "--kind", "nontrivial", "--length", "9",
+          "--seed", "1"), ["{}/g.txt"]),
+        (("bench", "word", "--graph", "{}/g.txt", "--lengths", "10,20", "--repetitions", "1",
+          "--seed", "2", "--json"), ["{}/g.txt"]),
+        (("reconstruct-nn", *nn_decoded, "--expect", "10110"), nn_decoded),
+        (("reconstruct-tn", "{}/tn/dec_p2.txt", "{}/tn/dec_p4.txt", "--expect", "5"),
+         ["{}/tn/dec_p2.txt", "{}/tn/dec_p4.txt"]),
+    ]
+    readers += [(("decode-share", "--share", share, "--graph", graph), [share, graph])
+                for share, graph, _ in (decodes[0], decodes[3])]  # nn p1, tn p2
+    for scheme in ("hom", "sub"):
+        public, private = (f"{{}}/{scheme}_key/{name}_key.txt" for name in ("public", "private"))
+        run_dir = f"{{}}/{scheme}_run"
+        readers.append((("auth", "prove", "--public", public, "--private", private, "--rounds",
+                         "2", "--seed", "1", "--challenge-seed", "2", "--out-dir", "{}/proved"),
+                        [public, private]))
+        rounds = [f"{run_dir}/{name.format(i)}" for i in range(1, 5) for name in ROUND_FILES]
+        readers.append((("auth", "verify", "--public", public, "--dir", run_dir, "--rounds", "4"),
+                        [public, f"{run_dir}/{TRANSCRIPT_FILE}", *rounds]))
+    return [([a.format(root) for a in argv], path.format(root))
+            for argv, paths in readers for path in paths]
+
+
+def fuzz_readers(root, seed, per_target):
+    """Run every walkthrough reader on ``per_target`` mutations of each file it reads,
+    one file mutated at a time, and count the inputs by exit code. Fails on an
+    exception escaping ``main`` or an exit code other than 0, 1 or 2."""
+    rng, codes = random.Random(seed), collections.Counter()
+    for argv, path in walkthrough_targets(root):
+        original = Path(path).read_text(encoding="utf-8")
+        for _ in range(per_target):
+            text = mutate(rng, original)
+            Path(path).write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except (Exception, SystemExit) as e:
+                    raise AssertionError(f"{argv} on {path} = {text!r}: {e!r}") from e
+            assert code in (0, 1, 2), (argv, path, text, code)
+            codes[code] += 1
+        Path(path).write_text(original, encoding="utf-8")
+    return codes
+
+
+def test_malformed_input_exits_0_1_or_2_from_every_reader(tmp_path):
+    # 8 mutations of each of the 38 files that some reader reads, about 1 s; the
+    # mutations reach refusals (2), rejections and nontrivial verdicts (1) and outputs (0)
+    codes = fuzz_readers(tmp_path, seed=28, per_target=8)
+    assert sum(codes.values()) == 8 * 38 and set(codes) == {0, 1, 2}
 
 
 # The directory that holds the imported raagcrypt package. Child

@@ -729,3 +729,40 @@ class TestInputContract:
         for shape in (tuple, list, iter):
             with pytest.raises(WordError, match=message):
                 is_trivial(EDGE, shape(w))
+
+    @pytest.mark.parametrize("w,message", [
+        # the float sign enters ``top[v] * sign``, and the cancel past b indexes with it
+        ((("a", 1), ("b", 1), ("a", -1.0)), "sign must be \\+1 or -1, got -1.0"),
+        # an unknown generator's KeyError re-checks from the first letter
+        ((("a", 1.0), ("zz", 1)), "sign must be \\+1 or -1, got 1.0"),
+        ((("zz", 1), ("a", 1.0)), "unknown generator 'zz'"),
+        ((("zz", 1.0), ("a", -1)), "unknown generator 'zz'"),
+    ])
+    def test_a_float_sign_and_an_unknown_generator_report_whichever_comes_first(self, w, message):
+        for shape in (tuple, list, iter):
+            with pytest.raises(WordError, match=message):
+                is_trivial(EDGE, shape(w))
+
+    @pytest.mark.parametrize("w", [
+        ((["a"], 1),),
+        (("a", 1), ({"b"}, -1)),
+        (("a", 1), (["zz"], 1), ("zz", 1)),
+    ])
+    def test_an_unhashable_generator_raises_type_error(self, w):
+        for shape in (tuple, list, iter):
+            with pytest.raises(TypeError, match="unhashable"):
+                is_trivial(EDGE, shape(w))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from((EDGE, FREE2)),
+           st.lists(st.tuples(st.sampled_from(("a", "b", "zz")),
+                              st.sampled_from((1, -1, 1, -1, 1.0, -1.0, 2, 0))), max_size=8))
+    def test_a_word_gets_a_verdict_only_if_every_letter_is_good_by_value(self, group, w):
+        # a float sign equal to 1 or -1 may get the sign's WordError or its value's verdict
+        good = all(gen != "zz" and sign in (1, -1) for gen, sign in w)
+        try:
+            verdict = is_trivial(group, w)
+        except WordError as e:
+            assert not good or "sign" in str(e) and any(type(s) is float for _, s in w)
+        else:
+            assert good and verdict == is_trivial(group, [(gen, int(s)) for gen, s in w])
