@@ -325,7 +325,8 @@ def cmd_bench_word(args) -> int:
     if args.json:
         import json  # here, so that no other command pays for its import
         points = [{"length": p.length, "mean_s": p.mean, "samples_s": list(p.samples),
-                   "ns_per_letter": p.mean / p.length * 1e9} for p in result.points]
+                   "ns_per_letter": p.mean / p.length * 1e9,
+                   "min_ns_per_letter": min(p.samples) / p.length * 1e9} for p in result.points]
         print(json.dumps({"points": points, "loglog_slope": result.slope}))
         return EXIT_OK
     print(f"{'length':>10} {'mean_s':>12}  samples_s")

@@ -250,19 +250,23 @@ class SimplicialGraph:
         declaration order)."""
         return self._masks
 
-    @cached_property
-    def _row_tables(self) -> tuple[bytes, ...]:
-        return tuple(map(_row_table, self._masks))
+    _row_tables = None  # then () after the first pullback, then every row's table
 
     def _induced_masks(self, labels: Iterable[str]) -> tuple[int, ...]:
         """Masks on positions 0..k-1, ``i`` and ``j`` adjacent iff ``labels[i]`` and
         ``labels[j]`` are; labels may repeat (a label is never adjacent to itself). Up to
         256 vertices a row is ``int(.., 2)`` of the reversed index bytes translated through
-        ``_row_tables[a]``; above that an index does not fit a byte, and rows walk the bits."""
+        row a's table (from the memo on a graph's first pullback, from ``_row_tables``
+        later); above that an index does not fit a byte, and rows walk the bits."""
         masks, index = self._masks, self._index
         if len(masks) <= 256:
             idx, rows = bytes(map(index.__getitem__, labels)), self._row_tables
             key = idx[::-1]  # position k-1 first: it is the row's top bit
+            if rows is None:  # a one-shot graph pays only for the rows its labels reach
+                self._row_tables = ()
+                return tuple([int(key.translate(_row_table(masks[a])), 2) for a in idx])
+            if not rows:
+                rows = self._row_tables = tuple(map(_row_table, masks))
             return tuple([int(key.translate(rows[a]), 2) for a in idx])
         idx = [index[v] for v in labels]
         at = [0] * len(masks)  # the positions holding each vertex

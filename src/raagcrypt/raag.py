@@ -8,12 +8,13 @@ local height, each recording the top of its vertex it covered. A letter
 cancels its vertex's top when that letter has the opposite sign and no
 non-adjacent letter is left after it (nothing non-commuting intervened),
 and the top it covered becomes the top again; otherwise it is pushed.
-Whether such a letter is left is found by walking back over the letters
-newer than the top, or, when more than |Nbar(v)| of them are, by reading
-the non-adjacent tops. A push costs O(1) and a cancel attempt
-O(1 + |Nbar(v)|), so a check is linear in the word length for a fixed
-graph. ``push_letter`` is the pure marker-form reference, with one stack
-per vertex and a 0 marker written onto every non-adjacent stack.
+A letter whose vertex has no letter left is pushed untested. Whether a
+non-adjacent letter is left is found by one OR over the one or two letters
+newer than the top, by walking back over more, or, when more than
+|Nbar(v)| are newer, by reading the non-adjacent tops. A push costs O(1)
+and a cancel attempt O(1 + |Nbar(v)|), so a check is linear in the word
+length for a fixed graph. ``push_letter`` is the pure marker-form reference,
+with one stack per vertex and a 0 marker written onto every non-adjacent stack.
 
 An independent breadth-first oracle double-checks the solver at small
 scale: a word is trivial iff the empty word is reachable from it using
@@ -122,9 +123,11 @@ def is_trivial(g: Raag, w: Word) -> bool:
     first: its vertex bit, or 0 once it has cancelled below the newest
     letter. A push fills slot ``h + 1`` of ``left`` and ``covered``, a
     cancel restores v's top from ``covered``, and slots above ``h`` are
-    stale and never read. A cancel attempt for v tests the letters newer
-    than v's top against v's non-neighbour mask, or, when more than
-    |Nbar(v)| of them are left, reads the |Nbar(v)| non-adjacent tops.
+    stale and never read. A letter whose vertex has none left (``top[v]``
+    0) is pushed untested. A cancel attempt for v tests the letters newer than v's
+    top against v's non-neighbour mask, one or two of them in one OR and more
+    by a walk, or, when more than |Nbar(v)| are left, reads the |Nbar(v)|
+    non-adjacent tops.
     Either way it costs O(1 + |Nbar(v)|), and ``h`` drops past cancelled
     entries at the top, so on a fixed graph the pass is linear in ``len(w)``.
     A sign that is no ``int`` gets ``letter``'s WordError where ``top[v] * sign``
@@ -147,36 +150,42 @@ def is_trivial(g: Raag, w: Word) -> bool:
             v = index[gen]
             if sign != 1 and sign != -1:
                 _check_letter(graph, (gen, sign))  # raises WordError
-            tv = top[v] * sign
-            if tv < 0:
-                tv = -tv
-                newer = h - tv
-                if not newer:
-                    top[v] = covered[h]
-                    h -= 1
-                    while not left[h]:
+            t = top[v]
+            if t:
+                tv = t * sign
+                if tv < 0:
+                    newer = h + tv
+                    if not newer:
+                        top[v] = covered[h]
                         h -= 1
-                    continue
-                nb = nbar[v]
-                if newer <= len(nb):
-                    mask = nbar_masks[v]
-                    for b in left[tv + 1:h + 1]:
-                        if b & mask:
-                            break
-                    else:
-                        top[v] = covered[tv]
-                        left[tv] = 0
+                        while not left[h]:
+                            h -= 1
                         continue
-                else:
-                    for u in nb:
-                        if abs(top[u]) > tv:
-                            break
+                    tv = -tv
+                    if newer <= 2:  # slots tv + 1 and h, the same slot when newer is 1
+                        if not (left[tv + 1] | left[h]) & nbar_masks[v]:
+                            top[v] = covered[tv]
+                            left[tv] = 0
+                            continue
+                    elif newer <= len(nbar[v]):
+                        mask = nbar_masks[v]
+                        for b in left[tv + 1:h + 1]:
+                            if b & mask:
+                                break
+                        else:
+                            top[v] = covered[tv]
+                            left[tv] = 0
+                            continue
                     else:
-                        top[v] = covered[tv]
-                        left[tv] = 0
-                        continue
+                        for u in nbar[v]:
+                            if abs(top[u]) > tv:
+                                break
+                        else:
+                            top[v] = covered[tv]
+                            left[tv] = 0
+                            continue
             h += 1
-            covered[h] = top[v]
+            covered[h] = t
             left[h] = bits[v]
             top[v] = sign * h
     except (KeyError, TypeError):  # an unknown generator, or a sign equal to 1 or -1 but no int

@@ -758,6 +758,15 @@ class TestBenchJson:
             assert len(p["samples_s"]) == 2 and p["mean_s"] > 0 and p["ns_per_letter"] > 0
         assert math.isfinite(record["loglog_slope"])
 
+    def test_json_points_carry_the_smallest_sample_per_letter(self, capsys, edge_graph, fixed):
+        code, out, _ = run(capsys, "bench", "word", "--graph", edge_graph, "--lengths",
+                           "100,200,400", "--seed", "1", "--json")
+        assert code == 0
+        points = json.loads(out)["points"]
+        for p, least in zip(points, (0.001, 0.004, 0.008)):
+            assert p["min_ns_per_letter"] == pytest.approx(least / p["length"] * 1e9)
+            assert p["min_ns_per_letter"] <= p["ns_per_letter"]
+
 
 # ---------------------------------------------------------------------------
 # malformed input: every reader answers a mutated file with exit 0, 1 or 2

@@ -649,6 +649,19 @@ class TestMaskCore:
                 graphs._row_table.cache_clear()
             assert ("_row_tables" in vars(g)) == (n <= 256)
 
+    def test_one_pullback_keeps_no_more_tables_than_the_rows_it_read(self):
+        # a graph pulled back once (a fresh attack target) pays only for the rows its labels
+        # reach; every row's table is kept from the second pullback on
+        rng = random.Random(3030)
+        for n in (8, 64, 256):
+            g = random_graph(n, 0.3, n)
+            half = rng.sample(g.vertices, n // 2)
+            labels = [rng.choice(half) for _ in range(n)]
+            assert g._induced_masks(labels) == self._pulled_back(g, labels)
+            assert len(vars(g).get("_row_tables", ())) <= len(set(labels))
+            assert g._induced_masks(half) == self._pulled_back(g, half)
+            assert len(g._row_tables) == n
+
     def test_edge_list_is_a_fresh_list(self):
         g = cycle(5)
         first = g.edge_list()

@@ -704,6 +704,104 @@ class TestStaleSlots:
             checked += 1
 
 
+def cancel_branches(g, w):
+    """Each letter's branch in ``is_trivial``, from a list model of its pile, and the letters
+    left, oldest first, which represent ``w``.
+
+    One entry per letter: the branch, whether the cancel attempt was blocked (None for a
+    push branch), and the position in ``w`` of the partner letter the attempt reached.
+    """
+    nbar = g.nonneighbors()
+    # one pile entry per letter left: (v, sign, the top it covered, its position in w)
+    pile, tops, out = [], [0] * len(g.vertices), []
+    for i, (gen, sign) in enumerate(w):
+        v = g.index_of(gen)
+        t = tops[v]
+        if not t or pile[t - 1][1] == sign:
+            out.append(("same sign" if t else "empty top", None, None))
+        else:
+            newer = len(pile) - t
+            blocked = any(e and e[0] in nbar[v] for e in pile[t:])
+            kind = ("newest" if not newer else "one slot" if newer == 1 else "two slots"
+                    if newer == 2 else "walk" if newer <= len(nbar[v]) else "scan")
+            out.append((kind, blocked, pile[t - 1][3]))
+            if not blocked:
+                tops[v] = pile[t - 1][2]
+                if newer:
+                    pile[t - 1] = None  # cancelled below the newest letter
+                else:
+                    pile.pop()
+                    while pile and not pile[-1]:
+                        pile.pop()
+                continue
+        pile.append((v, sign, t, i))
+        tops[v] = len(pile)
+    return out, tuple((g.vertices[e[0]], e[1]) for e in pile if e)
+
+
+def branch_corpus():
+    """Words on graphs with |Nbar(v)| of 0 (complete, EDGE), 1 (FREE2), 2 to 4 (a path) and
+    2 to 6 (``random_graph(10, 0.5, ...)``): sampled trivial and nontrivial words, random
+    words, and u x u^-1 for random u and a short random x."""
+    rng = random.Random(3030)
+    ks = tuple(f"k{i}" for i in range(4))
+    ps = tuple(f"p{i}" for i in range(6))
+    graphs = [SimplicialGraph(ks, list(itertools.combinations(ks, 2))), EDGE.graph, FREE2.graph,
+              SimplicialGraph(ps, list(zip(ps, ps[1:])))]
+    graphs += [random_graph(10, 0.5, seed) for seed in range(4)]
+    for g in graphs:
+        group = Raag(g)
+        for _ in range(40):
+            u = random_word(rng, g, max_len=8)
+            yield g, sample_trivial_word(group, 2 * rng.randint(1, 30), rng.getrandbits(32))
+            yield g, sample_nontrivial_word(group, rng.randint(1, 40), rng.getrandbits(32))
+            yield g, random_word(rng, g, max_len=16)
+            yield g, u + random_word(rng, g, max_len=3) + invert(u)
+
+
+class TestCancelBranches:
+    # is_trivial picks one of five cancel tests by how many letters are left above v's top
+    # (none, one, two, up to |Nbar(v)|, more); a corpus runs each in both outcomes
+    BRANCHES = {("empty top", None), ("same sign", None), ("newest", False)} | {
+        (kind, blocked) for kind in ("one slot", "two slots", "walk", "scan")
+        for blocked in (False, True)}
+
+    def test_every_branch_runs_and_agrees_with_the_references(self):
+        counts = dict.fromkeys(self.BRANCHES, 0)
+        oracle_checked = 0
+        for g, w in branch_corpus():
+            branches, left = cancel_branches(g, w)
+            for kind, blocked, _ in branches:
+                counts[kind, blocked] += 1
+            p = empty_piling(g)
+            for l in w:
+                p = push_letter(p, l, g)
+            verdict = not left
+            assert is_trivial(Raag(g), w) == p.is_empty() == verdict, w
+            # a wrong cancel that keeps w's verdict still leaves another pile than the model's
+            assert is_trivial(Raag(g), w + invert(left)), w
+            if len(free_reduce(w)) <= 14:
+                assert oracle_is_trivial(Raag(g), w) == verdict, w
+                oracle_checked += 1
+        assert min(counts.values()) >= 50, counts
+        assert oracle_checked >= 500
+
+    def test_a_float_partner_is_refused_wherever_its_slot_is_indexed(self):
+        # every attempt but the newest cancel and a blocked top scan indexes through the
+        # partner's slot (one or two slots, a walk's slice, a cancel's covered top), so a
+        # float sign on the partner must get letter's WordError there or earlier
+        checked = dict.fromkeys(("one slot", "two slots", "walk", "scan"), 0)
+        for g, w in branch_corpus():
+            for kind, blocked, partner in cancel_branches(g, w)[0]:
+                if kind in checked and not (kind == "scan" and blocked):
+                    gen, sign = w[partner]
+                    floated = w[:partner] + ((gen, float(sign)),) + w[partner + 1:]
+                    with pytest.raises(WordError, match="sign"):
+                        is_trivial(Raag(g), floated)
+                    checked[kind] += 1
+        assert min(checked.values()) >= 50, checked
+
+
 class TestInputContract:
     def test_any_iterable_of_letters(self):
         rng = random.Random(27)
