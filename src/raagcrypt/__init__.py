@@ -3,9 +3,10 @@
 Graphs double as group presentations: vertices are generators and edges
 are commutation relations. On top of the linear-time word-problem solver
 sit two threshold secret-sharing schemes whose shares are columns of
-words (readable only with the right relator graph) and two
-challenge-response authentication schemes built on graph homomorphism
-and induced subgraph isomorphism.
+words (decoded with the holder's relator graph, though today length
+parity alone gives every bit away: see ``raag.sample_nontrivial_word``)
+and two challenge-response authentication schemes built on graph
+homomorphism and induced subgraph isomorphism.
 """
 
 from .graphs import (

@@ -135,7 +135,7 @@ KEY_PAIRS = {cls.scheme: cls for cls in (HomKeyPair, SubKeyPair)}
 
 
 class RoundState(Record):
-    """One round's record, filled strictly in commit/challenge/respond/verify order."""
+    """One round's record: commitment, session map, challenge, response and verdict."""
 
     __slots__ = ("commitment", "session", "challenge", "response", "verdict")
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # fields may be reassigned
@@ -249,16 +249,17 @@ def hom_commit(target: SimplicialGraph, size: int,
     return graph, VertexMap(graph, target, beta)
 
 
-def hom_respond(state: RoundState, key: HomKeyPair) -> VertexMap:
-    """beta for challenge 0, the composite alpha(beta(.)) for challenge 1."""
-    if state.challenge is None:
-        raise AuthError("challenge not set")
-    beta = state.session
-    if not isinstance(beta, VertexMap):
+def _check_challenge(challenge) -> None:
+    if challenge not in (0, 1):
+        raise AuthError(f"challenge must be 0 or 1, got {challenge!r}")
+
+
+def hom_respond(session: VertexMap, challenge: int, key: HomKeyPair) -> VertexMap:
+    """The session map beta for challenge 0, the composite alpha(beta(.)) for challenge 1."""
+    _check_challenge(challenge)
+    if not isinstance(session, VertexMap):
         raise AuthError("round holds no session homomorphism")
-    if state.challenge == 0:
-        return beta
-    return beta.compose(key.alpha)
+    return session if challenge == 0 else session.compose(key.alpha)
 
 
 def hom_verify(g1: SimplicialGraph, g2: SimplicialGraph,
@@ -271,8 +272,7 @@ def hom_verify(g1: SimplicialGraph, g2: SimplicialGraph,
     and so is an empty commitment: ``hom_commit`` never builds one, and the empty map
     from it is a homomorphism into any graph.
     """
-    if challenge not in (0, 1):
-        raise AuthError(f"challenge must be 0 or 1, got {challenge!r}")
+    _check_challenge(challenge)
     if not commitment.vertices:
         return False
     expected_target = g1 if challenge == 0 else g2
@@ -335,16 +335,14 @@ def sub_commit(ambient: SimplicialGraph, subset: VertexSubset,
     return _pullback_graph(ambient, members, "g", rng)
 
 
-def sub_respond(state: RoundState, key: SubKeyPair) -> dict[str, str]:
-    """beta for challenge 0, alpha after beta for challenge 1."""
-    if state.challenge is None:
-        raise AuthError("challenge not set")
-    beta = state.session
-    if not isinstance(beta, Mapping):
+def sub_respond(session: Mapping[str, str], challenge: int, key: SubKeyPair) -> dict[str, str]:
+    """The session bijection beta for challenge 0, alpha after beta for challenge 1."""
+    _check_challenge(challenge)
+    if not isinstance(session, Mapping):
         raise AuthError("round holds no session bijection")
-    if state.challenge == 0:
-        return dict(beta)
-    return {v: key.alpha[beta[v]] for v in beta}
+    if challenge == 0:
+        return dict(session)
+    return {v: key.alpha[session[v]] for v in session}
 
 
 def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
@@ -353,8 +351,7 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
     the declared subset (image-set equality is literal here) preserving
     edges and non-edges against the ambient graph. An empty commitment is rejected, as in
     ``hom_verify``: the empty map onto an empty subset would prove nothing."""
-    if challenge not in (0, 1):
-        raise AuthError(f"challenge must be 0 or 1, got {challenge!r}")
+    _check_challenge(challenge)
     if not commitment.vertices:
         return False
     if not isinstance(response, Mapping):
@@ -374,8 +371,8 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
 def scheme_steps(public: tuple, commit_size: int | None = None):
     """The round rules of the scheme of ``public``, a public key as ``parse_public_key``
     returns it: ``commit(bit, seed)`` (a commitment and the session map that answers
-    challenge ``bit``), ``respond(state, key)`` (the honest answer), ``junk(commitment, c,
-    rng)`` (a random answer to challenge ``c``) and ``verify(commitment, c, response)``.
+    challenge ``bit``), ``respond(session, c, key)`` (the honest answer to challenge ``c``),
+    ``junk(commitment, c, rng)`` (a random answer) and ``verify(commitment, c, response)``.
     It looks the ``hom_*``/``sub_*`` functions up when called. ``commit_size`` sets the
     ``hom`` commitment size (default: g1's plus 2); ``sub`` commitments have the subset's
     size, so there it raises AuthError."""
@@ -441,17 +438,16 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     for _ in range(rounds):
         guess = prng.getrandbits(1) if strategy == "cheat-random" else fixed_guess
         commitment, session = commit(guess, prng.getrandbits(64))
-        state = RoundState(commitment=commitment, session=session,
-                           challenge=vrng.getrandbits(1))
+        challenge = vrng.getrandbits(1)
         if honest:
-            state.response = respond(state, key)
-        elif state.challenge == guess:
-            state.response = session
+            response = respond(session, challenge, key)
+        elif challenge == guess:
+            response = session
         else:
-            state.response = junk(commitment, state.challenge, prng)
-        state.verdict = verify(commitment, state.challenge, state.response)
-        states.append(state)
-        if not state.verdict:
+            response = junk(commitment, challenge, prng)
+        verdict = verify(commitment, challenge, response)
+        states.append(RoundState(commitment, session, challenge, response, verdict))
+        if not verdict:
             accept = False
             if stop_on_reject:
                 break

@@ -267,11 +267,11 @@ def cmd_auth_prove(args) -> int:
 
 
 def cmd_auth_verify(args) -> int:
-    if args.rounds is not None and args.rounds < 1:
+    if args.rounds < 1:
         raise auth.AuthError("need at least one round")
     public = auth.parse_public_key(_read(args.public))
     rounds, _ = auth.parse_transcript(_read(Path(args.dir) / TRANSCRIPT_FILE))
-    if args.rounds is not None and len(rounds) != args.rounds:
+    if len(rounds) != args.rounds:
         # the soundness error 2^-r is the verifier's to fix, not the transcript's
         print(f"reject: transcript has {len(rounds)} rounds, verifier requires {args.rounds}")
         sys.stdout.write(auth.format_transcript(auth.Transcript(public[0], (), False)))
@@ -432,9 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser("verify", help="re-verify a recorded protocol run")
     a.add_argument("--public", required=True)
     a.add_argument("--dir", required=True)
-    a.add_argument("--rounds", type=int,
-                   help="round count the verifier requires; always pass it, since without it "
-                        "the transcript's own round count sets the soundness error 2^-r")
+    a.add_argument("--rounds", type=int, required=True)
     a.set_defaults(func=cmd_auth_verify)
     a = asub.add_parser("simulate", help="estimate acceptance rates for prover strategies")
     a.add_argument("--scheme", choices=("hom", "sub"), required=True)

@@ -3,8 +3,9 @@
 Two schemes over a public generator set X. In both, each participant
 secretly holds a relator set (a graph on X, hence a RAAG), and the
 dealer publishes per-participant word columns; a word decodes to bit 1
-iff it is trivial in the holder's group, so only the holder can read the
-column.
+iff it is trivial in the holder's group, so decoding uses the holder's
+graph. But today length parity alone gives every bit away, as
+``raag.sample_nontrivial_word`` states.
 
 (n,n): the secret bit column is split into n columns whose entrywise
 mod-2 sum is the secret; all n decoded columns are needed.

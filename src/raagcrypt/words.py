@@ -94,9 +94,11 @@ _SUFFIX = {1: "", -1: "^-1"}  # a letter's text after its generator, by sign
 
 
 def format_word(w: Word) -> str:
-    """The text form; a sign other than +1/-1 raises ``letter``'s WordError."""
+    """The text form; a letter that ``letter`` refuses raises its WordError."""
     try:
-        return " ".join([g + _SUFFIX[s] for g, s in w])
-    except KeyError:
+        parts = [g + _SUFFIX[s] for g, s in w if g and isinstance(s, int)]
+    except KeyError:  # an int sign other than +1/-1
+        parts = ()
+    if len(parts) < len(w):
         word(w)  # raises at the first malformed letter
-        raise
+    return " ".join(parts)

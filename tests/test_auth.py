@@ -9,7 +9,6 @@ from raagcrypt.auth import (
     STRATEGIES,
     AuthError,
     HomKeyPair,
-    RoundState,
     SubKeyPair,
     acceptance_rate,
     format_private_key,
@@ -107,37 +106,35 @@ class TestHomRound:
     def test_respond_returns_beta_on_zero(self):
         key = hom_keygen(6, 6, 1)
         commitment, beta = hom_commit(key.g1, 5, 2)
-        state = RoundState(commitment=commitment, session=beta, challenge=0)
-        assert hom_respond(state, key) is beta
+        assert hom_respond(beta, 0, key) is beta
 
     def test_respond_composes_on_one(self):
         key = hom_keygen(6, 6, 1)
         commitment, beta = hom_commit(key.g1, 5, 2)
-        state = RoundState(commitment=commitment, session=beta, challenge=1)
-        response = hom_respond(state, key)
+        response = hom_respond(beta, 1, key)
         for v in commitment.vertices:
             assert response.assignment[v] == key.alpha.assignment[beta.assignment[v]]
-        assert hom_respond(state, key) == response  # pure
+        assert hom_respond(beta, 1, key) == response  # pure
 
     def test_respond_needs_challenge(self):
         key = hom_keygen(6, 6, 1)
         commitment, beta = hom_commit(key.g1, 5, 2)
-        with pytest.raises(AuthError):
-            hom_respond(RoundState(commitment=commitment, session=beta), key)
+        for c in (None, 2):  # 2 was answered as 1
+            with pytest.raises(AuthError, match=f"challenge must be 0 or 1, got {c}"):
+                hom_respond(beta, c, key)
 
     def test_respond_needs_a_session_homomorphism(self):
         key = hom_keygen(6, 6, 1)
         commitment, beta = hom_commit(key.g1, 5, 2)
         for session in (None, beta.assignment):  # none, or a plain dict in place of a VertexMap
             with pytest.raises(AuthError, match="round holds no session homomorphism"):
-                hom_respond(RoundState(commitment, session, challenge=1), key)
+                hom_respond(session, 1, key)
 
     def test_honest_flow_accepts_both_challenges(self):
         key = hom_keygen(6, 6, 1)
         for c in (0, 1):
             commitment, beta = hom_commit(key.g1, 5, 40 + c)
-            state = RoundState(commitment=commitment, session=beta, challenge=c)
-            response = hom_respond(state, key)
+            response = hom_respond(beta, c, key)
             assert hom_verify(key.g1, key.g2, commitment, c, response)
 
     def test_edge_to_nonedge_rejected(self):
@@ -249,16 +246,14 @@ class TestSubRound:
     def test_composite_lands_on_s2(self):
         key = sub_keygen(12, 5, 1)
         commitment, beta = sub_commit(key.ambient, key.s1, 2)
-        state = RoundState(commitment=commitment, session=beta, challenge=1)
-        response = sub_respond(state, key)
+        response = sub_respond(beta, 1, key)
         assert sub_verify(key.ambient, key.s1, key.s2, commitment, 1, response)
 
     def test_honest_flow_accepts_both_challenges(self):
         key = sub_keygen(12, 5, 1)
         for c in (0, 1):
             commitment, beta = sub_commit(key.ambient, key.s1, 30 + c)
-            state = RoundState(commitment=commitment, session=beta, challenge=c)
-            response = sub_respond(state, key)
+            response = sub_respond(beta, c, key)
             assert sub_verify(key.ambient, key.s1, key.s2, commitment, c, response)
 
     def test_commit_deterministic(self):
@@ -308,15 +303,16 @@ class TestSubRound:
     def test_respond_needs_challenge(self):
         key = sub_keygen(12, 5, 1)
         commitment, beta = sub_commit(key.ambient, key.s1, 2)
-        with pytest.raises(AuthError):
-            sub_respond(RoundState(commitment=commitment, session=beta), key)
+        for c in (None, 2):  # 2 was answered as 1
+            with pytest.raises(AuthError, match=f"challenge must be 0 or 1, got {c}"):
+                sub_respond(beta, c, key)
 
     def test_respond_needs_a_session_bijection(self):
         key = sub_keygen(12, 5, 1)
         commitment, beta = sub_commit(key.ambient, key.s1, 2)
         for session in (None, tuple(beta.items())):
             with pytest.raises(AuthError, match="round holds no session bijection"):
-                sub_respond(RoundState(commitment, session, challenge=1), key)
+                sub_respond(session, 1, key)
 
 
 class TestProtocol:
@@ -375,7 +371,7 @@ class TestProtocol:
         assert 0.5 - 0.07 <= rate <= 0.5 + 0.07
 
     def test_cheaters_never_touch_the_private_key(self, monkeypatch):
-        def refuse(state, key):
+        def refuse(session, challenge, key):
             raise AssertionError("a cheater used the private key")
 
         monkeypatch.setattr(auth, "hom_respond", refuse)

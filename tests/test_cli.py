@@ -392,7 +392,7 @@ class TestAuthCommands:
                    "--private", str(key_dir / "private_key.txt"), "--rounds", "5",
                    "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))[0] == 0
         code, out, _ = run(capsys, "auth", "verify", "--public", str(key_dir / "public_key.txt"),
-                           "--dir", str(run_dir))
+                           "--dir", str(run_dir), "--rounds", "5")
         assert code == 0
         assert out.count("verdict accept") == 5 and "accept true" in out
 
@@ -411,7 +411,7 @@ class TestAuthCommands:
         lines[0], lines[1] = " ".join(first), " ".join(second)
         response.write_text("\n".join(lines) + "\n")
         code, out, _ = run(capsys, "auth", "verify", "--public", str(key_dir / "public_key.txt"),
-                           "--dir", str(run_dir))
+                           "--dir", str(run_dir), "--rounds", "3")
         assert code == 1
         assert "round 2" in out and "accept false" in out
 
@@ -426,7 +426,7 @@ class TestAuthCommands:
         lines = response.read_text().splitlines()
         response.write_text("\n".join(lines[1:]) + "\n")
         code, out, _ = run(capsys, "auth", "verify", "--public", str(key_dir / "public_key.txt"),
-                           "--dir", str(run_dir))
+                           "--dir", str(run_dir), "--rounds", "2")
         assert code == 1 and "round 1 challenge" in out
 
     def test_repeated_round_rejected(self, capsys, tmp_path):
@@ -440,7 +440,7 @@ class TestAuthCommands:
         lines = transcript.read_text().splitlines()
         transcript.write_text("\n".join([lines[0]] * 4 + [lines[-1]]) + "\n")
         code, out, err = run(capsys, "auth", "verify", "--public", str(key_dir / "public_key.txt"),
-                             "--dir", str(run_dir))
+                             "--dir", str(run_dir), "--rounds", "4")
         assert code == 2 and "accept true" not in out and "expected round 2" in err
 
     @pytest.mark.parametrize("scheme", ["hom", "sub"])
@@ -586,6 +586,18 @@ class TestAuthCommands:
         assert "transcript has 1 rounds, verifier requires 4" in out
         assert "accept true" not in out
 
+    def test_verify_requires_the_round_count(self, capsys, tmp_path):
+        # without it the transcript's own round count set the soundness error 2^-r
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        public = str(key_dir / "public_key.txt")
+        run(capsys, "auth", "keygen", "--scheme", "hom", "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", public,
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "4",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        code, out, err = run(capsys, "auth", "verify", "--public", public, "--dir", str(run_dir))
+        assert code == 2 and out == "" and "--rounds" in err
+
     @pytest.mark.parametrize("scheme,strategy,rounds,expect", [
         ("sub", "honest", "3", "all"),
         ("sub", "cheat-guess-0", "20", "none"),
@@ -619,9 +631,10 @@ class TestAuthCommands:
 class TestAuthCliGolden:
     # a digest over the files, stdout, stderr and exit code of every auth command on
     # both schemes: a change to how the CLI reaches the round rules leaves it as is
-    DIGEST = "d0ad7a2b9410b149f01db5c5a2d60ce1f058066f42b808b8aff8059885bee10b"
+    DIGEST = "ce91a36ef79ef89bfc6e2d64de360ce71daf80066b9829dfa9c570d89393069d"
 
-    def test_auth_cli_output_is_pinned(self, capsys, tmp_path):
+    def test_auth_cli_output_is_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps a usage line to the terminal
         h = hashlib.sha256()
 
         def add(text):

@@ -291,6 +291,49 @@ class TestInducedIsomorphism:
             verdicts[pairwise] += 1
         assert min(verdicts.values()) > 100  # both verdicts are exercised
 
+    def test_agrees_with_the_group_subgroup_check(self):
+        # the problem that scheme "sub" poses, read in the group: a map f of generators
+        # from s1 onto s2 extends to an isomorphism of the special subgroups they generate
+        # exactly when the induced subgraphs are isomorphic through f (Droms), that is when
+        # its images are distinct and a, b commute exactly when f(a), f(b) do, each decided
+        # by the package's solver on the commutator
+        def group_check(ambient, f):
+            group = Raag(ambient)
+
+            def commute(x, y):
+                return is_trivial(group, ((x, 1), (y, 1), (x, -1), (y, -1)))
+
+            return len(set(f.values())) == len(f) and all(
+                commute(a, b) == commute(f[a], f[b]) for a, b in combinations(f, 2))
+
+        rng = random.Random(20)
+        counts = {"isomorphism": 0, "bijection": 0, "collapsed": 0}
+        for i in range(2000):
+            if i % 2:
+                m = rng.randint(1, 6)
+                key = auth.sub_keygen(2 * m + rng.randint(0, 4), m, rng.getrandbits(32))
+                ambient, s1, s2 = key.ambient, key.s1, key.s2
+                images = [key.alpha[v] for v in s1.ordered()]
+            else:
+                ambient = random_graph(rng.randint(1, 10), rng.random(), rng.getrandbits(32))
+                k = rng.randint(1, len(ambient.vertices))
+                s1 = VertexSubset(ambient, rng.sample(ambient.vertices, k))
+                s2 = VertexSubset(ambient, rng.sample(ambient.vertices, k))
+                images = list(s2.ordered())
+            if rng.random() < 0.3:  # a random bijection onto s2 in place of the drawn one
+                rng.shuffle(images)
+            if len(images) > 1 and rng.random() < 0.1:  # two generators onto one
+                images[0] = images[1]
+            f = dict(zip(s1.ordered(), images))
+            try:
+                graph = verify_induced_subgraph_isomorphism(ambient, s1, s2, f)
+                counts["isomorphism" if graph else "bijection"] += 1
+            except GraphError:  # not a bijection onto s2
+                graph = False
+                counts["collapsed"] += 1
+            assert group_check(ambient, f) == graph
+        assert min(counts.values()) >= 100, counts
+
     def test_verify_errors(self):
         g = SimplicialGraph(("a", "b", "c", "d"), [("a", "b"), ("c", "d")])
         for s1, s2, f, needle in [

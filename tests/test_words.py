@@ -11,6 +11,7 @@ from raagcrypt.words import (
     invert,
     letter,
     parse_word,
+    word,
 )
 
 labels = st.sampled_from(["a", "b", "c", "v0", "v1", "x"])
@@ -96,6 +97,16 @@ class TestTextFormat:
                 format_word(bad)
         with pytest.raises(WordError, match="got 0"):
             format_word((("a", 0), ("b", 2)))
+
+    def test_format_refuses_what_letter_refuses(self):
+        # a float sign equal to +1/-1 used to format as an int one
+        for bad in ((("a", 1.0), ("b", -1)), (("a", 1), ("b", -1.0)), (("", 1),)):
+            with pytest.raises(WordError) as caught:
+                format_word(bad)
+            with pytest.raises(WordError) as expected:
+                word(bad)
+            assert str(caught.value) == str(expected.value)
+        assert format_word((("a", True), ("b", -1))) == "a b^-1"
 
 
 class TestTokenCache:
