@@ -145,11 +145,7 @@ class RoundState(Record):
                  challenge: int | None = None,
                  response: VertexMap | Mapping[str, str] | None = None,
                  verdict: bool | None = None):
-        self.commitment = commitment
-        self.session = session
-        self.challenge = challenge
-        self.response = response
-        self.verdict = verdict
+        self._set(commitment, session, challenge, response, verdict)
 
 
 class Transcript(Record):
@@ -196,12 +192,12 @@ def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
     Candidate edges are exactly the pairs whose images are adjacent, kept
     independently with ``keep_prob``, so the map is a strict homomorphism by
     construction, and an induced isomorphism when the images are distinct
-    and all edges are kept. At ``keep_prob`` 1 there is no draw from ``rng``;
-    all three callers drop ``rng`` after this call, so that changes no output byte.
+    and all edges are kept. At ``keep_prob`` 1 there is no draw from ``rng`` (all three
+    callers drop it after this call, so no output byte changes); ``_keep_edges`` checks any other.
     """
     vertices = _labels(prefix, len(images))
     masks = target._induced_masks(images)
-    if keep_prob < 1:
+    if keep_prob != 1:
         masks = _keep_edges(masks, keep_prob, rng)
     return SimplicialGraph._trusted(vertices, masks), dict(zip(vertices, images))
 
@@ -562,21 +558,22 @@ def format_transcript(t: Transcript) -> str:
 
 def parse_transcript(text: str) -> tuple[list[tuple[int, int, bool]], bool]:
     """Returns ([(round, challenge, verdict)], overall accept); rounds run 1..r,
-    r >= 1, and each challenge is 0 or 1."""
+    r >= 1, each challenge is 0 or 1, and one accept line comes last."""
     rounds: list[tuple[int, int, bool]] = []
     accept: bool | None = None
     for _, fields in _directives(text):
         line = " ".join(fields)
         if fields[0] == "round":
-            if (len(fields) != 6 or fields[2] != "challenge" or fields[3] not in ("0", "1")
+            if (accept is not None or len(fields) != 6 or fields[2] != "challenge"
+                    or fields[3] not in ("0", "1")
                     or fields[4] != "verdict" or fields[5] not in ("accept", "reject")):
                 raise AuthError(f"bad round line {line!r}")
             if fields[1] != str(len(rounds) + 1):
                 raise AuthError(f"expected round {len(rounds) + 1}, got {line!r}")
             rounds.append((int(fields[1]), int(fields[3]), fields[5] == "accept"))
         elif fields[0] == "accept":
-            if len(fields) != 2 or fields[1] not in ("true", "false"):
-                raise AuthError(f"bad accept line {line!r}")
+            if accept is not None or len(fields) != 2 or fields[1] not in ("true", "false"):
+                raise AuthError(f"bad or repeated accept line {line!r}")
             accept = fields[1] == "true"
         else:
             raise AuthError(f"unknown transcript line {line!r}")

@@ -31,6 +31,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from operator import and_, inv
 
+from .words import _label_problem
+
 __all__ = [
     "GraphError",
     "SearchBudgetExceeded",
@@ -65,16 +67,6 @@ class SearchBudgetExceeded(RuntimeError):
     """
 
 
-def _label_problem(label: str) -> str | None:
-    if not isinstance(label, str) or not label:
-        return "empty or non-string label"
-    if any(ch.isspace() for ch in label):
-        return "whitespace in label"
-    if "#" in label or "^" in label:
-        return "forbidden character in label ('#' and '^' are reserved)"
-    return None
-
-
 def validate_graph(vertices: Iterable[str], edges: Iterable[Iterable[str]]) -> list[str]:
     """Check raw graph data against the simplicial-graph invariants.
 
@@ -87,8 +79,7 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[Iterable[str]]) -> l
     vertices = list(vertices)
     seen = set()
     for v in vertices:
-        problem = _label_problem(v)
-        if problem is not None:
+        if (problem := _label_problem(v)) is not None:
             violations.append(f"vertex {v!r}: {problem}")
             continue
         if v in seen:
@@ -298,7 +289,10 @@ class SimplicialGraph:
 
 def _keep_edges(candidates: Sequence[int], p: float, rng: random.Random) -> list[int]:
     """Masks keeping each candidate edge ``{i, j}``, ``i < j`` (bit ``j`` of ``candidates[i]``),
-    with probability ``p``: one ``rng.random()`` per candidate, in row-major order."""
+    with probability ``p`` in [0, 1] (the one check of an edge probability, else ValueError):
+    one ``rng.random()`` per candidate, in row-major order."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("edge probability must lie in [0, 1]")
     n = len(candidates)
     masks = [0] * n
     for i, row in enumerate(candidates):
@@ -614,8 +608,6 @@ def random_graph(n: int, p: float, seed: int) -> SimplicialGraph:
     """Erdos-Renyi style graph on vertices v0..v(n-1), deterministic in seed."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
     masks = _keep_edges([(1 << n) - 1] * n, p, random.Random(seed))
     return SimplicialGraph._trusted((f"v{i}" for i in range(n)), masks)
 
@@ -640,9 +632,7 @@ def triangle_vertices(g: SimplicialGraph) -> tuple[str, str, str] | None:
 
 
 def format_graph(g: SimplicialGraph) -> str:
-    lines = ["vertices " + " ".join(g.vertices) if g.vertices else "vertices"]
-    for u, v in g.edge_list():
-        lines.append(f"edge {u} {v}")
+    lines = [" ".join(("vertices", *g.vertices))] + [f"edge {u} {v}" for u, v in g._pairs]
     return "\n".join(lines) + "\n"
 
 

@@ -310,11 +310,8 @@ class ShareTN(Record):
 
 def random_participant_graphs(n: int, num_generators: int, edge_prob: float,
                               seed: int) -> tuple[SimplicialGraph, ...]:
-    """Independent random relator graphs on the same generators, one per participant."""
-    if n < 2:
-        raise SharingError("need at least 2 participants")
-    if num_generators < 1:
-        raise SharingError("need at least one public generator")
+    """Independent random relator graphs on the same generators, one per participant.
+    Only draws: ``DealerSetupNN`` and ``deal_tn`` check the participant and generator counts."""
     rng = random.Random(seed)
     return tuple(random_graph(num_generators, edge_prob, rng.getrandbits(64))
                  for _ in range(n))
@@ -324,7 +321,7 @@ def random_dealer_setup_nn(n: int, k: int, num_generators: int, edge_prob: float
                            seed: int) -> DealerSetupNN:
     """Fresh setup with independent random relator graphs per participant."""
     graphs = random_participant_graphs(n, num_generators, edge_prob, seed)
-    return DealerSetupNN(n=n, k=k, generators=graphs[0].vertices,
+    return DealerSetupNN(n=n, k=k, generators=graphs[0].vertices if graphs else (),
                          participant_graphs=graphs)
 
 

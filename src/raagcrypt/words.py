@@ -36,11 +36,23 @@ class WordError(ValueError):
     """Raised for malformed letters, tokens, or unknown generators."""
 
 
+def _label_problem(label: str) -> str | None:
+    """The one label rule, for vertices, generators and word tokens: what is wrong, or None."""
+    if not isinstance(label, str) or not label:
+        return "empty or non-string label"
+    if any(ch.isspace() for ch in label):
+        return "whitespace in label"
+    if "#" in label or "^" in label:
+        return "forbidden character in label ('#' and '^' are reserved)"
+    return None
+
+
 def letter(generator: str, sign: int) -> Letter:
+    """``(generator, sign)``, else WordError: sign +1 or -1, a label ``_label_problem`` passes."""
     if not isinstance(sign, int) or sign not in (1, -1):
         raise WordError(f"letter sign must be +1 or -1, got {sign!r}")
-    if not generator:
-        raise WordError("empty generator label")
+    if (problem := _label_problem(generator)) is not None:
+        raise WordError(f"generator {generator!r}: {problem}")
     return (generator, sign)
 
 
@@ -81,7 +93,7 @@ def exponent_sums(w: Word) -> dict[str, int]:
 def _token_letter(token: str) -> Letter:
     """One token's letter, else WordError. Memoized; a failure is never cached."""
     base, sign = (token[:-3], -1) if token.endswith("^-1") else (token, 1)
-    if not base or "^" in base or "#" in base:
+    if _label_problem(base) is not None:
         raise WordError(f"malformed word token {token!r}")
     return (base, sign)
 
@@ -91,14 +103,18 @@ def parse_word(text: str) -> Word:
 
 
 _SUFFIX = {1: "", -1: "^-1"}  # a letter's text after its generator, by sign
+_CHECKED: set[str] = set()  # labels that passed the rule; emptied past 4096
 
 
 def format_word(w: Word) -> str:
-    """The text form; a letter that ``letter`` refuses raises its WordError."""
+    """The text that ``parse_word`` reads back as ``w``; a bad letter raises ``letter``'s error."""
     try:
-        parts = [g + _SUFFIX[s] for g, s in w if g and isinstance(s, int)]
-    except KeyError:  # an int sign other than +1/-1
+        parts = [g + _SUFFIX[s] for g, s in w if g in _CHECKED and isinstance(s, int)]
+    except (KeyError, TypeError):  # an int sign other than +1/-1; an unhashable generator
         parts = ()
     if len(parts) < len(w):
-        word(w)  # raises at the first malformed letter
+        if len(_CHECKED) > 4096:
+            _CHECKED.clear()
+        _CHECKED.update(g for g, _ in word(w))  # word raises at the first malformed letter
+        return format_word(w)
     return " ".join(parts)

@@ -85,6 +85,23 @@ class TestHomKeygen:
             hom_keygen(0, 5, 0)
 
 
+class TestEdgeProbabilities:
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("keygen, sizes, name", [
+        (hom_keygen, (8, 8), "edge_prob"),
+        (hom_keygen, (8, 8), "keep_prob"),
+        (sub_keygen, (16, 7), "pattern_edge_prob"),
+        (sub_keygen, (16, 7), "ambient_edge_prob"),
+    ])
+    def test_keygens_refuse_what_random_graph_refuses(self, keygen, sizes, name, p):
+        # only random_graph checked its probability; a keygen built a key at any value
+        with pytest.raises(ValueError) as expected:
+            graphs.random_graph(4, p, 1)
+        with pytest.raises(ValueError) as caught:
+            keygen(*sizes, 1, **{name: p})
+        assert str(caught.value) == str(expected.value)
+
+
 class TestHomRound:
     def test_commitment_map_verifies(self):
         key = hom_keygen(6, 6, 1)
@@ -680,6 +697,14 @@ class TestKeyFiles:
                 parse_transcript(f"round 1 challenge {challenge} verdict accept\naccept true\n")
         rounds, _ = parse_transcript("round 1 challenge 1 verdict reject\naccept false\n")
         assert rounds == [(1, 1, False)]
+
+    def test_transcript_ends_at_its_one_accept_line(self):
+        # a second accept line used to override the first
+        line = "round 1 challenge 0 verdict accept\n"
+        for tail in ("accept false\naccept true\n", "accept true\naccept true\n",
+                     "accept true\nround 2 challenge 0 verdict accept\n"):
+            with pytest.raises(AuthError):
+                parse_transcript(line + tail)
 
     def test_transcript_errors(self):
         with pytest.raises(AuthError):

@@ -211,6 +211,21 @@ class TestSharingCommands:
         assert code == 2 and out == "" and message in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["deal-nn", "--secret", "101", "--participants", "0", "--generators", "3"],
+         "need at least 2 participants"),
+        (["deal-nn", "--secret", "101", "--participants", "1", "--generators", "3"],
+         "need at least 2 participants"),
+        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+          "--participants", "1", "--generators", "3"], "threshold must not exceed n"),
+        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+          "--participants", "3", "--generators", "0"], "need at least one public generator"),
+    ])
+    def test_dealer_sizes_exit_2_with_the_dealer_message(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv, "--seed", "1", "--out-dir", str(tmp_path / "x"))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_tn_pipeline_with_threshold_subset(self, capsys, tmp_path):
         d = tmp_path / "tn"
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
@@ -428,6 +443,24 @@ class TestAuthCommands:
         code, out, _ = run(capsys, "auth", "verify", "--public", str(key_dir / "public_key.txt"),
                            "--dir", str(run_dir), "--rounds", "2")
         assert code == 1 and "round 1 challenge" in out
+
+    def test_transcript_after_its_accept_line_exits_2(self, capsys, tmp_path):
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        run(capsys, "auth", "keygen", "--scheme", "hom", "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", str(key_dir / "public_key.txt"),
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "1",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        transcript = run_dir / "transcript.txt"
+        first, accept = transcript.read_text().splitlines()
+        # a second accept line used to override the first
+        for tail, message in (("accept false\naccept true", "bad or repeated accept line"),
+                              (f"{accept}\n{first}", "bad round line")):
+            transcript.write_text(f"{first}\n{tail}\n")
+            code, out, err = run(capsys, "auth", "verify", "--public",
+                                 str(key_dir / "public_key.txt"), "--dir", str(run_dir),
+                                 "--rounds", "1")
+            assert code == 2 and out == "" and message in err
 
     def test_repeated_round_rejected(self, capsys, tmp_path):
         key_dir, run_dir = tmp_path / "key", tmp_path / "run"

@@ -108,6 +108,28 @@ class TestTextFormat:
             assert str(caught.value) == str(expected.value)
         assert format_word((("a", True), ("b", -1))) == "a b^-1"
 
+    @pytest.mark.parametrize("label", ["a b", "a\tb", "a\n", "x#", "#", "a^-1", "^", "", 5, None])
+    def test_format_and_word_refuse_a_bad_label_alike(self, label):
+        # format_word used to write ("a^-1", 1) as "a^-1", which parse_word reads as ("a", -1)
+        for sign in (1, -1):
+            with pytest.raises(WordError) as caught:
+                format_word((("a", 1), (label, sign)))
+            with pytest.raises(WordError) as expected:
+                word((("a", 1), (label, sign)))
+            assert str(caught.value) == str(expected.value)
+
+    @given(st.lists(st.tuples(st.text("ab^#-1 \t\né\x00", max_size=4),
+                              st.sampled_from([1, -1])), max_size=6).map(tuple))
+    def test_every_word_format_writes_reads_back(self, w):
+        try:
+            text = format_word(w)
+        except WordError as e:
+            with pytest.raises(WordError) as expected:
+                word(w)
+            assert str(e) == str(expected.value)
+        else:
+            assert parse_word(text) == w
+
 
 class TestTokenCache:
     def test_malformed_token_raises_the_same_on_every_call(self):
