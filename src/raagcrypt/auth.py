@@ -135,7 +135,7 @@ KEY_PAIRS = {cls.scheme: cls for cls in (HomKeyPair, SubKeyPair)}
 
 
 class RoundState(Record):
-    """One round's record: commitment, session map, challenge, response and verdict."""
+    """One round's record, stored directly, not through ``_set``: a run builds one per round."""
 
     __slots__ = ("commitment", "session", "challenge", "response", "verdict")
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # fields may be reassigned
@@ -145,7 +145,8 @@ class RoundState(Record):
                  challenge: int | None = None,
                  response: VertexMap | Mapping[str, str] | None = None,
                  verdict: bool | None = None):
-        self._set(commitment, session, challenge, response, verdict)
+        self.commitment, self.session, self.challenge, self.response, self.verdict = (
+            commitment, session, challenge, response, verdict)
 
 
 class Transcript(Record):
@@ -248,6 +249,11 @@ def hom_commit(target: SimplicialGraph, size: int,
 def _check_challenge(challenge) -> None:
     if challenge not in (0, 1):
         raise AuthError(f"challenge must be 0 or 1, got {challenge!r}")
+
+
+def _check_rounds(rounds: int) -> None:
+    if rounds < 1:
+        raise AuthError("need at least one round")
 
 
 def hom_respond(session: VertexMap, challenge: int, key: HomKeyPair) -> VertexMap:
@@ -418,8 +424,7 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     overall accept value is unaffected; Monte Carlo callers use this).
     ``commit_size`` is ``scheme_steps``'s.
     """
-    if rounds < 1:
-        raise AuthError("need at least one round")
+    _check_rounds(rounds)
     if strategy not in STRATEGIES:
         raise AuthError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     if not isinstance(key, KEY_PAIRS.get(scheme, ())):
@@ -472,19 +477,17 @@ def acceptance_rate(scheme: str, key, strategy: str, rounds: int, trials: int,
 
 def format_public_key(key: HomKeyPair | SubKeyPair) -> str:
     if isinstance(key, HomKeyPair):
-        parts = ["scheme hom\n", "graph g1\n", format_graph(key.g1),
-                 "graph g2\n", format_graph(key.g2)]
-        return "".join(parts)
-    parts = ["scheme sub\n", "graph ambient\n", format_graph(key.ambient),
-             "subset s1 " + " ".join(key.s1.ordered()) + "\n",
-             "subset s2 " + " ".join(key.s2.ordered()) + "\n"]
-    return "".join(parts)
+        return "".join(["scheme hom\n", "graph g1\n", format_graph(key.g1),
+                        "graph g2\n", format_graph(key.g2)])
+    return "".join(["scheme sub\n", "graph ambient\n", format_graph(key.ambient),
+                    "subset s1 " + " ".join(key.s1.ordered()) + "\n",
+                    "subset s2 " + " ".join(key.s2.ordered()) + "\n"])
 
 
 def parse_public_key(text: str):
     """Returns ('hom', g1, g2) or ('sub', ambient, s1, s2)."""
     head = (text.splitlines() or [""])[0].split()
-    if head not in (["scheme", "hom"], ["scheme", "sub"]):
+    if len(head) != 2 or head[0] != "scheme" or head[1] not in KEY_PAIRS:
         raise AuthError("expected 'scheme hom' or 'scheme sub' on the first line")
     scheme = head[1]
     sections: dict[str, list[str]] = {}

@@ -267,8 +267,7 @@ def cmd_auth_prove(args) -> int:
 
 
 def cmd_auth_verify(args) -> int:
-    if args.rounds < 1:
-        raise auth.AuthError("need at least one round")
+    auth._check_rounds(args.rounds)
     public = auth.parse_public_key(_read(args.public))
     rounds, _ = auth.parse_transcript(_read(Path(args.dir) / TRANSCRIPT_FILE))
     if len(rounds) != args.rounds:
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     key_sizes = (("--g1-size", 8), ("--g2-size", 8), ("--ambient-size", 16), ("--subgroup-size", 7))
     asub = p.add_subparsers(dest="auth_command", required=True)
     a = asub.add_parser("keygen", help="generate a planted key pair")
-    a.add_argument("--scheme", choices=("hom", "sub"), required=True)
+    a.add_argument("--scheme", choices=tuple(auth.KEY_PAIRS), required=True)
     a.add_argument("--seed", type=int, required=True)
     a.add_argument("--out-dir", required=True)
     for flag, default in key_sizes:
@@ -435,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--rounds", type=int, required=True)
     a.set_defaults(func=cmd_auth_verify)
     a = asub.add_parser("simulate", help="estimate acceptance rates for prover strategies")
-    a.add_argument("--scheme", choices=("hom", "sub"), required=True)
+    a.add_argument("--scheme", choices=tuple(auth.KEY_PAIRS), required=True)
     a.add_argument("--strategy", choices=auth.STRATEGIES, required=True)
     a.add_argument("--rounds", type=int, required=True)
     a.add_argument("--trials", type=int, required=True)

@@ -421,6 +421,12 @@ class TestProtocol:
         with pytest.raises(AuthError, match="hom' only"):
             run_protocol("sub", sub_keygen(12, 5, 11), 1, "honest", 1, 2, commit_size=5)
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rounds_below_one_refused_on_both_schemes(self, rounds):
+        for scheme, key in (("hom", hom_keygen(7, 7, 11)), ("sub", sub_keygen(12, 5, 11))):
+            with pytest.raises(AuthError, match="^need at least one round$"):
+                run_protocol(scheme, key, rounds, "honest", 1, 2)
+
     def test_commit_size_at_least_one(self):
         with pytest.raises(AuthError, match="commitment size must be at least 1"):
             run_protocol("hom", hom_keygen(7, 7, 11), 1, "honest", 1, 2, commit_size=0)

@@ -226,6 +226,19 @@ class TestSharingCommands:
         assert code == 2 and out == "" and err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("length", ["3", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["deal-nn", "--secret", "101", "--participants", "3", "--generators", "3"],
+        ["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+         "--participants", "3", "--generators", "3"],
+    ])
+    def test_word_length_not_positive_even_exits_2(self, capsys, tmp_path, argv, length):
+        code, out, err = run(capsys, *argv, "--word-length", length, "--seed", "1",
+                             "--out-dir", str(tmp_path / "x"))
+        assert code == 2 and out == ""
+        assert err == "error: word length must be a positive even integer\n"
+        assert not (tmp_path / "x").exists()
+
     def test_tn_pipeline_with_threshold_subset(self, capsys, tmp_path):
         d = tmp_path / "tn"
         assert run(capsys, "deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
