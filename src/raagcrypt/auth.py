@@ -15,17 +15,24 @@ owns each scheme's round rules (commit, respond, junk answer, verify);
 ``run_protocol`` runs every prover strategy through them, and
 ``raagcrypt auth verify`` re-checks recorded rounds.
 
-Scheme "hom": public key is a pair of graphs; alpha is a strict graph
-homomorphism between them. Keys and commitments are planted: instances
+Scheme "hom": public key is a pair of graphs g1, g2; alpha is a strict
+graph homomorphism g1 -> g2. Keys and commitments are planted: instances
 are generated together with their witness, never searched for, because
 recovering a homomorphism is NP-complete already for a triangle target.
 
 Scheme "sub": public key is one ambient graph plus two vertex subsets
-whose induced subgraphs are isomorphic; alpha is the induced
-isomorphism. Only special (induced) subgraphs are used; the verifier
-checks literal image-set equality plus edge and non-edge preservation.
-Planting is essential here as well since recovering such an isomorphism
-is NP-complete in general.
+s1, s2 whose induced subgraphs are isomorphic; alpha is the induced
+isomorphism s1 -> s2. Only special (induced) subgraphs are used; the
+verifier checks literal image-set equality plus edge and non-edge
+preservation. Planting is essential here as well since recovering such
+an isomorphism is NP-complete in general.
+
+Key files follow the scheme's key pair (``KEY_PAIRS``): a public key is
+'scheme <name>', then per public field in field order (read in any order) a
+'graph <field>' section, or for ``subset_fields`` a 'subset <field> <members>'
+line over the first field; a private key is alpha's 'map' lines in the first
+field's order, checked as the key pair checks alpha when read. Both skip '#'
+comment lines and blank lines, before the scheme line too.
 """
 
 from __future__ import annotations
@@ -93,13 +100,13 @@ class AuthError(ValueError):
 
 
 class HomKeyPair(Record):
-    """Public graphs g1, g2 (g2 contains a triangle); private map alpha: g1 -> g2."""
+    """Public graphs g1, g2 (g2 contains a triangle); alpha: g1 -> g2, a mapping or VertexMap."""
 
-    scheme = "hom"
+    scheme, subset_fields = "hom", ()
     __slots__ = ("g1", "g2", "alpha")
 
-    def __init__(self, g1: SimplicialGraph, g2: SimplicialGraph, alpha: VertexMap):
-        self._set(g1, g2, alpha)
+    def __init__(self, g1: SimplicialGraph, g2: SimplicialGraph, alpha: VertexMap | Mapping):
+        self._set(g1, g2, alpha if isinstance(alpha, VertexMap) else VertexMap(g1, g2, alpha))
         if self.alpha.source != self.g1 or self.alpha.target != self.g2:
             raise AuthError("private map must go from g1 to g2")
         if not verify_graph_homomorphism(self.alpha):
@@ -111,7 +118,7 @@ class HomKeyPair(Record):
 class SubKeyPair(Record):
     """Public ambient graph and subsets s1, s2; private induced bijection alpha."""
 
-    scheme = "sub"
+    scheme, subset_fields = "sub", ("s1", "s2")
     __slots__ = ("ambient", "s1", "s2", "alpha")
 
     def __init__(self, ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
@@ -475,79 +482,70 @@ def acceptance_rate(scheme: str, key, strategy: str, rounds: int, trials: int,
 # key and transcript files
 
 
+def _public_layout(cls) -> list[tuple[str, str]]:
+    """(header word, field name) of each public field of a key-pair class, in field order."""
+    return [("subset" if name in cls.subset_fields else "graph", name) for name in cls._fields[:-1]]
+
+
 def format_public_key(key: HomKeyPair | SubKeyPair) -> str:
-    if isinstance(key, HomKeyPair):
-        return "".join(["scheme hom\n", "graph g1\n", format_graph(key.g1),
-                        "graph g2\n", format_graph(key.g2)])
-    return "".join(["scheme sub\n", "graph ambient\n", format_graph(key.ambient),
-                    "subset s1 " + " ".join(key.s1.ordered()) + "\n",
-                    "subset s2 " + " ".join(key.s2.ordered()) + "\n"])
+    parts = [f"scheme {key.scheme}\n"]
+    for (word, name), value in zip(_public_layout(type(key)), key._values()):
+        parts += ([f"graph {name}\n", format_graph(value)] if word == "graph"
+                  else [f"subset {name} {' '.join(value.ordered())}\n"])
+    return "".join(parts)
 
 
 def parse_public_key(text: str):
-    """Returns ('hom', g1, g2) or ('sub', ambient, s1, s2)."""
-    head = (text.splitlines() or [""])[0].split()
-    if len(head) != 2 or head[0] != "scheme" or head[1] not in KEY_PAIRS:
-        raise AuthError("expected 'scheme hom' or 'scheme sub' on the first line")
-    scheme = head[1]
-    sections: dict[str, list[str]] = {}
-    subsets: dict[str, list[str]] = {}
+    """Returns the scheme name, then its key pair's public fields in field order."""
+    lines = _directives(text)
+    _, head = next(lines, (0, []))
+    cls = KEY_PAIRS.get(head[1]) if len(head) == 2 and head[0] == "scheme" else None
+    if cls is None:
+        raise AuthError("expected " + " or ".join(f"'scheme {name}'" for name in KEY_PAIRS)
+                        + " on the first line")
+    found: dict[tuple[str, str], list[str]] = {}  # (header word, field name): lines or members
     current: list[str] | None = None
-    for lineno, fields in _directives(text):
-        if lineno == 1:
-            continue
+    for _, fields in lines:
         line = " ".join(fields)
         if fields[0] == "graph":
-            if len(fields) != 2 or fields[1] in sections:
+            if len(fields) != 2 or ("graph", fields[1]) in found:
                 raise AuthError(f"bad graph section header {line!r}")
-            current = sections.setdefault(fields[1], [])
+            current = found["graph", fields[1]] = []
         elif fields[0] == "subset":
-            if len(fields) < 3 or fields[1] in subsets:
+            if len(fields) < 3 or ("subset", fields[1]) in found:
                 raise AuthError(f"bad subset line {line!r}")
             if len(set(fields[2:])) < len(fields) - 2:
                 raise AuthError(f"repeated member in subset line {line!r}")
-            subsets[fields[1]] = fields[2:]
+            found["subset", fields[1]] = fields[2:]
+        elif current is None:
+            raise AuthError(f"content outside any graph section: {line!r}")
         else:
-            if current is None:
-                raise AuthError(f"content outside any graph section: {line!r}")
             current.append(line)
-    try:
-        graphs = {name: parse_graph("\n".join(body)) for name, body in sections.items()}
-    except GraphError as e:
-        raise AuthError(f"bad graph in key file: {e}") from None
-    if scheme == "hom":
-        if set(graphs) != {"g1", "g2"} or subsets:
-            raise AuthError("hom public key needs exactly the sections g1 and g2")
-        return ("hom", graphs["g1"], graphs["g2"])
-    if set(graphs) != {"ambient"} or set(subsets) != {"s1", "s2"}:
-        raise AuthError("sub public key needs an ambient graph and subsets s1, s2")
-    ambient = graphs["ambient"]
-    try:
-        s1 = VertexSubset(ambient, subsets["s1"])
-        s2 = VertexSubset(ambient, subsets["s2"])
-    except GraphError as e:
-        raise AuthError(f"bad subset in key file: {e}") from None
-    return ("sub", ambient, s1, s2)
+    layout = _public_layout(cls)
+    if found.keys() != set(layout):
+        raise AuthError(f"{cls.scheme} public key needs exactly the sections "
+                        + ", ".join(f"'{word} {name}'" for word, name in layout))
+    values: list = []  # a subset's members are read against the first field, a graph
+    for word, name in layout:
+        try:
+            values.append(parse_graph("\n".join(found[word, name])) if word == "graph"
+                          else VertexSubset(values[0], found[word, name]))
+        except GraphError as e:
+            raise AuthError(f"bad {word} in key file: {e}") from None
+    return (cls.scheme, *values)
 
 
 def format_private_key(key: HomKeyPair | SubKeyPair) -> str:
-    if isinstance(key, HomKeyPair):
-        return format_map_lines(key.alpha.assignment, key.g1.vertices)
-    return format_map_lines(key.alpha, key.s1.ordered())
+    alpha = getattr(key.alpha, "assignment", key.alpha)  # a hom VertexMap
+    return format_map_lines(alpha, [v for v in key._values()[0].vertices if v in alpha])
 
 
 def parse_private_key(text: str, public) -> VertexMap | dict[str, str]:
-    """Parse against a parsed public key tuple; returns alpha."""
+    """Parse against a parsed public key tuple; returns alpha, checked as its key pair checks it."""
     try:
-        assignment = parse_map_lines(text)
-        if public[0] == "hom":
-            return VertexMap(public[1], public[2], assignment)
+        return KEY_PAIRS[public[0]](*public[1:], parse_map_lines(text)).alpha
     except GraphError as e:
         raise AuthError(f"bad private key: {e}") from None
-    _, ambient, s1, s2 = public
-    if set(assignment) != s1.members or set(assignment.values()) != s2.members:
-        raise AuthError("private key is not a bijection from s1 onto s2")
-    return assignment
 
 
 def format_transcript(t: Transcript) -> str:

@@ -719,3 +719,106 @@ class TestKeyFiles:
             parse_transcript("accept maybe\n")
         with pytest.raises(AuthError):
             parse_transcript("round 1 verdict accept\naccept true\n")
+
+
+def _key_file_sections(text):
+    """A key file cut before each 'scheme', 'graph' or 'subset' line."""
+    sections = []
+    for line in text.splitlines(keepends=True):
+        if line.split()[0] in ("scheme", "graph", "subset"):
+            sections.append("")
+        sections[-1] += line
+    return sections
+
+
+def _reordered(text, order):
+    sections = _key_file_sections(text)
+    return "".join(sections[i] for i in order)
+
+
+HOM_PUBLIC = format_public_key(hom_keygen(4, 5, 3))
+SUB_PUBLIC = format_public_key(sub_keygen(8, 3, 3))
+
+
+class TestKeyFileLayout:
+    # every byte of both key files of hom keys n1 1-9 by n2 3-9 and sub keys m 1-6,
+    # three seeds each: a change to how key files are laid out leaves it as is
+    DIGEST = "c22f7ca0a4af6e9958608798c0b269d945fcb0630b6de27955fc66fbe2a6a3ed"
+
+    @staticmethod
+    def keys():
+        for seed in range(3):
+            for n1 in (1, 2, 5, 9):
+                for n2 in (3, 4, 7, 9):
+                    yield hom_keygen(n1, n2, seed)
+            for n, m in ((2, 1), (5, 2), (8, 4), (13, 6), (20, 3)):
+                yield sub_keygen(n, m, seed)
+
+    def test_key_files_are_pinned(self):
+        h = hashlib.sha256()
+        for key in self.keys():
+            for text in (format_public_key(key), format_private_key(key)):
+                h.update(text.encode())
+                h.update(b"\0")
+        assert h.hexdigest() == self.DIGEST
+
+    def test_each_key_pair_is_rebuilt_from_its_files(self):
+        for key in self.keys():
+            public = parse_public_key(format_public_key(key))
+            alpha = parse_private_key(format_private_key(key), public)
+            assert auth.KEY_PAIRS[public[0]](*public[1:], alpha) == key
+
+    @pytest.mark.parametrize("text, original", [
+        (_reordered(HOM_PUBLIC, (0, 2, 1)), HOM_PUBLIC),  # g2 before g1
+        (_reordered(SUB_PUBLIC, (0, 2, 3, 1)), SUB_PUBLIC),  # subsets before the ambient graph
+        (_reordered(SUB_PUBLIC, (0, 3, 1, 2)), SUB_PUBLIC),  # s2 first
+    ], ids=("g2-first", "subsets-first", "s2-first"))
+    def test_sections_in_any_order(self, text, original):
+        assert text != original
+        assert parse_public_key(text) == parse_public_key(original)
+
+    @pytest.mark.parametrize("text", [
+        HOM_PUBLIC + "subset s1 a0\n",  # a subset line in a hom key
+        _reordered(SUB_PUBLIC, (0, 1, 3)) + "graph s1\nvertices v0\n",  # s1 as a graph
+        _reordered(HOM_PUBLIC, (0, 1, 2, 1)),  # g1 twice
+        _reordered(SUB_PUBLIC, (0, 1, 2, 3, 2)),  # s1 twice
+        _reordered(HOM_PUBLIC, (0, 1)),  # no g2
+        _reordered(HOM_PUBLIC, (0, 2)),  # no g1
+        _reordered(SUB_PUBLIC, (0, 1, 2)),  # no s2
+        _reordered(SUB_PUBLIC, (0, 2, 3)),  # no ambient graph
+    ], ids=("hom-subset", "sub-graph-s1", "hom-g1-twice", "sub-s1-twice", "hom-no-g2",
+            "hom-no-g1", "sub-no-s2", "sub-no-ambient"))
+    def test_refused_layouts(self, text):
+        with pytest.raises(AuthError):
+            parse_public_key(text)
+
+    @pytest.mark.parametrize("original", [HOM_PUBLIC, SUB_PUBLIC], ids=("hom", "sub"))
+    def test_comments_and_blank_lines_before_the_scheme_line(self, original):
+        # every other reader skips them; this one read line 1 as the scheme line
+        assert parse_public_key("# alice\n\n" + original) == parse_public_key(original)
+        with pytest.raises(AuthError, match="expected 'scheme hom' or 'scheme sub' on the "
+                                            "first line"):
+            parse_public_key("# alice\n\ngraph g1\n" + original)
+
+
+class TestPrivateKeyChecks:
+    # a private key is checked as its key pair checks it when it is read, not later
+    def test_hom_map_that_is_no_homomorphism(self):
+        key = hom_keygen(6, 6, 1)
+        u, v = key.g1.edge_list()[0]
+        assignment = dict(key.alpha.assignment, **{v: key.alpha(u)})  # an edge to one vertex
+        public = parse_public_key(format_public_key(key))
+        with pytest.raises(AuthError, match="private map is not a graph homomorphism"):
+            parse_private_key(format_map_lines(assignment, key.g1.vertices), public)
+
+    def test_sub_bijection_that_breaks_the_induced_structure(self):
+        for seed in range(50):  # a transposition of s2 that moves an edge
+            key = sub_keygen(12, 4, seed)
+            s1, (x, y, *rest) = key.s1.ordered(), key.s2.ordered()
+            inverse = {b: a for a, b in key.alpha.items()}
+            swapped = dict(key.alpha, **{inverse[x]: y, inverse[y]: x})
+            if not verify_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, swapped):
+                break
+        public = parse_public_key(format_public_key(key))
+        with pytest.raises(AuthError, match="does not preserve the induced structure"):
+            parse_private_key(format_map_lines(swapped, s1), public)
