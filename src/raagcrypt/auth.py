@@ -37,6 +37,7 @@ comment lines and blank lines, before the scheme line too.
 
 from __future__ import annotations
 
+import _random
 import random
 from collections.abc import Mapping
 from functools import lru_cache, partial
@@ -164,7 +165,7 @@ class Transcript(Record):
 # planted-instance construction
 
 
-def _random_images(target: SimplicialGraph, count: int, rng: random.Random) -> list[str]:
+def _random_images(target: SimplicialGraph, count: int, rng: _random.Random) -> list[str]:
     targets, bits = target.vertices, rng.getrandbits
     if not targets:
         raise AuthError("target graph must have at least one vertex")
@@ -176,7 +177,7 @@ def _random_images(target: SimplicialGraph, count: int, rng: random.Random) -> l
     return images
 
 
-def _shuffle(items: list, rng: random.Random) -> None:
+def _shuffle(items: list, rng: _random.Random) -> None:
     """``rng.shuffle(items)``, the same swaps from the same draws. A draw below k is written
     out as ``randrange``'s: k.bit_length() bits, again while k or more (k = 1 reads to a 0)."""
     bits = rng.getrandbits
@@ -192,7 +193,7 @@ def _labels(prefix: str, count: int) -> tuple[str, ...]:
 
 
 def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
-                    rng: random.Random, keep_prob: float = COMMIT_KEEP_PROB,
+                    rng: _random.Random, keep_prob: float = COMMIT_KEEP_PROB,
                     ) -> tuple[SimplicialGraph, dict[str, str]]:
     """A fresh graph on one vertex per image, plus the map sending vertex i
     to ``images[i]`` in ``target``: ``hom_keygen``'s g1 and every commitment.
@@ -248,7 +249,7 @@ def hom_commit(target: SimplicialGraph, size: int,
     """
     if size < 1:
         raise AuthError("commitment size must be at least 1")
-    rng = random.Random(seed)
+    rng = _random.Random(seed)
     graph, beta = _pullback_graph(target, _random_images(target, size, rng), "c", rng)
     return graph, VertexMap(graph, target, beta)
 
@@ -336,10 +337,10 @@ def sub_keygen(ambient_size: int, subgroup_size: int, seed: int,
 def sub_commit(ambient: SimplicialGraph, subset: VertexSubset,
                seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
     """Fresh relabeling G of the induced subgraph on any subset (s1 for an honest
-    prover): ``ambient`` pulled back along the members, shuffled by ``random.Random(seed)``.
+    prover): ``ambient`` pulled back along the members, shuffled by ``_random.Random(seed)``.
     The relabeling bijection beta: V(G) -> subset is withheld."""
     members = list(subset.ordered())
-    rng = random.Random(seed)
+    rng = _random.Random(seed)
     _shuffle(members, rng)
     return _pullback_graph(ambient, members, "g", rng)
 
@@ -392,7 +393,7 @@ def scheme_steps(public: tuple, commit_size: int | None = None):
         def commit(bit: int, seed: int) -> tuple[SimplicialGraph, VertexMap]:
             return hom_commit(targets[bit], size, seed)
 
-        def junk(commitment: SimplicialGraph, c: int, rng: random.Random) -> VertexMap:
+        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> VertexMap:
             images = _random_images(targets[c], len(commitment.vertices), rng)
             return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
 
@@ -404,7 +405,7 @@ def scheme_steps(public: tuple, commit_size: int | None = None):
     def commit(bit: int, seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
         return sub_commit(ambient, subsets[bit], seed)
 
-    def junk(commitment: SimplicialGraph, c: int, rng: random.Random) -> dict[str, str]:
+    def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> dict[str, str]:
         members = list(subsets[c].ordered())
         _shuffle(members, rng)
         return dict(zip(commitment.vertices, members))
@@ -437,8 +438,8 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     if not isinstance(key, KEY_PAIRS.get(scheme, ())):
         raise AuthError(f"a {type(key).__name__} is not a key of scheme {scheme!r}")
     commit, respond, junk, verify = scheme_steps((scheme, *key._values()[:-1]), commit_size)
-    prng = random.Random(prover_seed)
-    vrng = random.Random(verifier_seed)
+    prng = _random.Random(prover_seed)
+    vrng = _random.Random(verifier_seed)
     honest = strategy == "honest"
     fixed_guess = 1 if strategy == "cheat-guess-1" else 0
     states: list[RoundState] = []
@@ -467,7 +468,7 @@ def acceptance_rate(scheme: str, key, strategy: str, rounds: int, trials: int,
     """Fraction of ``trials`` protocol runs that accept."""
     if trials < 1:
         raise AuthError("need at least one trial")
-    rng = random.Random(seed)
+    rng = _random.Random(seed)
     accepted = 0
     for _ in range(trials):
         t = run_protocol(scheme, key, rounds, strategy,
@@ -542,8 +543,13 @@ def format_private_key(key: HomKeyPair | SubKeyPair) -> str:
 
 def parse_private_key(text: str, public) -> VertexMap | dict[str, str]:
     """Parse against a parsed public key tuple; returns alpha, checked as its key pair checks it."""
+    return _parse_key_pair(text, public).alpha
+
+
+def _parse_key_pair(text: str, public) -> HomKeyPair | SubKeyPair:
+    """The key pair of a parsed public key tuple and a private key's text (else AuthError)."""
     try:
-        return KEY_PAIRS[public[0]](*public[1:], parse_map_lines(text)).alpha
+        return KEY_PAIRS[public[0]](*public[1:], parse_map_lines(text))
     except GraphError as e:
         raise AuthError(f"bad private key: {e}") from None
 

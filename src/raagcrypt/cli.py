@@ -245,8 +245,7 @@ def cmd_auth_keygen(args) -> int:
 
 def _load_key(public_path: str, private_path: str):
     public = auth.parse_public_key(_read(public_path))
-    alpha = auth.parse_private_key(_read(private_path), public)
-    return auth.KEY_PAIRS[public[0]](*public[1:], alpha)
+    return auth._parse_key_pair(_read(private_path), public)
 
 
 def cmd_auth_prove(args) -> int:

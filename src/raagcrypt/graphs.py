@@ -6,11 +6,12 @@ of the vertices is significant and is the ordering used everywhere a
 deterministic traversal is needed (serialization, search, sampling).
 Edges are stored as one int bitmask per vertex. Graphs read from outside
 are fully validated; graphs the package generates are built from their
-masks with a structural check only. Pulling a graph back along a label
-list (every commitment and map check) takes one C-level ``bytes.translate``
-per row up to 256 vertices, through 256-byte tables memoized by mask value
-(at most 1024, 0.45 MB) and kept by each graph, which holds its own (up to
-74 KB) after the memo evicts them; larger graphs walk the bits.
+masks with a structural check only: one bit-matrix transpose. Pulling a graph
+back along a label list (every commitment and map check) takes one C-level
+``bytes.translate`` per row up to 256 vertices, through 256-byte tables
+memoized by mask value (at most 1024, 0.45 MB) and kept by each graph, which
+holds its own (up to 74 KB) after the memo evicts them, and its last pullback;
+larger graphs walk the bits.
 
 Two search problems live here, both solved exactly with an explicit node
 budget: strict graph homomorphism (adjacent vertices must map to
@@ -27,8 +28,11 @@ results are deterministic.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import and_, inv
 
 from .words import _label_problem
@@ -123,6 +127,31 @@ def _row_table(mask: int) -> bytes:
     return f"{mask:0256b}"[::-1].encode()
 
 
+# an array typecode per stride of 16 to 64 bits, where the array's bytes are little-endian
+_TYPECODES = {array(c).itemsize * 8: c for c in "HILQ"} if sys.byteorder == "little" else {}
+
+
+@lru_cache(maxsize=None)  # b = 1024 holds 11 ints of 128 KB; one entry per power of two
+def _transpose_masks(b: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """For n-by-n bit matrices with n <= b, a power of two: the stride s = max(8, b) at which
+    they are stored row-major (bit ``i * s + j`` is entry (i, j)), the mask of the entries
+    that must be 0 (the diagonal, and any column at or above b), and the (shift, mask) of
+    each delta swap that transposes the top-left b-by-b block: swap k exchanges the k-by-k
+    blocks above and below the diagonal of each 2k-by-2k block (Warren, Hacker's Delight,
+    2nd ed., 7-3). Each mask tiles a pattern by doubling, in O(log s) big-int operations."""
+    def tile(pattern: int, period: int, count: int) -> int:  # count is a power of two
+        while count > 1:
+            pattern |= pattern << period
+            period, count = 2 * period, count >> 1
+        return pattern
+    s, swaps, k = max(8, b), [], b >> 1
+    while k:  # entries (i, j) with bit k clear in i and set in j move k rows down, k left
+        row = tile(((1 << k) - 1) << k, 2 * k, s // (2 * k))
+        swaps.append((k * (s - 1), tile(tile(row, s, k), 2 * k * s, s // (2 * k))))
+        k >>= 1
+    return s, tile(1, s + 1, s) | tile((1 << s) - (1 << b), s, s), tuple(swaps)
+
+
 class SimplicialGraph:
     """Immutable finite simplicial graph.
 
@@ -151,22 +180,36 @@ class SimplicialGraph:
         """A generated graph, built from its masks without ``validate_graph``'s pass over
         the edges. A cheap structural check stays (else GraphError): labels valid and
         distinct (``_label_index``, run once per distinct label tuple), and on every call
-        one mask per vertex, masks symmetric, no loop bit and no bit at or above n."""
+        one mask per vertex, masks symmetric, no loop bit and no bit at or above n.
+
+        The masks are packed row-major at a power-of-two stride s >= 8 (``bytes`` at 8 bits,
+        an ``array`` at 16 to 64, ``to_bytes`` above; a negative mask or one of s bits or
+        more cannot be packed). With b the power of two at or above n, one AND finds any
+        loop or any bit at or above b, and the top-left b-by-b block must equal its
+        transpose: as its rows at and above n are empty, so are its columns. Only on a
+        failure does a row-by-row scan name the first vertex whose row disagrees with the
+        rows before it."""
         vertices, masks = tuple(vertices), tuple(masks)
         n = len(vertices)
         index = _label_index(vertices)
         if len(masks) != n:
             raise GraphError(f"{len(masks)} masks for {n} vertices")
-        column = [0] * n  # bits j < i with bit i set in masks[j]
-        for i, m in enumerate(masks):
-            # bits 0..i of a row must mirror its column: symmetric, no loop
-            if m >> n or m & (2 << i) - 1 != column[i]:
-                raise GraphError(f"mask of {vertices[i]!r}: asymmetric, a loop or a bit >= {n}")
-            above = m >> i + 1
-            while above:
-                low = above & -above
-                column[i + low.bit_length()] |= 1 << i
-                above ^= low
+        s, zeros, swaps = _transpose_masks(1 << (n - 1).bit_length())
+        try:  # bytes() packs like a 'B' array, only faster
+            packed = int.from_bytes(
+                bytes(masks) if s == 8 else array(_TYPECODES[s], masks) if s in _TYPECODES
+                else b"".join(map(int.to_bytes, masks, repeat(s >> 3), repeat("little"))),
+                "little")
+        except (OverflowError, ValueError):  # a negative mask, or one of s bits or more
+            packed = zeros  # fails the AND below
+        x = packed
+        for shift, swap in swaps:
+            t = (x ^ x >> shift) & swap
+            x ^= t ^ t << shift
+        if packed & zeros or x != packed:
+            for i, m in enumerate(masks):
+                if m >> n or m >> i & 1 or any((masks[j] >> i ^ m >> j) & 1 for j in range(i)):
+                    raise GraphError(f"mask of {vertices[i]!r}: asymmetric, a loop or a bit >= {n}")
         graph = cls.__new__(cls)
         graph.vertices, graph._index, graph._masks = vertices, index, masks
         return graph
@@ -242,23 +285,31 @@ class SimplicialGraph:
         return self._masks
 
     _row_tables = None  # then () after the first pullback, then every row's table
+    _pulled = (b"", ())  # the last pullback up to 256 vertices: its index bytes and masks
 
     def _induced_masks(self, labels: Iterable[str]) -> tuple[int, ...]:
         """Masks on positions 0..k-1, ``i`` and ``j`` adjacent iff ``labels[i]`` and
         ``labels[j]`` are; labels may repeat (a label is never adjacent to itself). Up to
         256 vertices a row is ``int(.., 2)`` of the reversed index bytes translated through
         row a's table (from the memo on a graph's first pullback, from ``_row_tables``
-        later); above that an index does not fit a byte, and rows walk the bits."""
+        later), and the same index bytes as the last pullback's (a verifier repeating a
+        commitment's) return its masks; above that an index does not fit a byte, and rows
+        walk the bits."""
         masks, index = self._masks, self._index
         if len(masks) <= 256:
-            idx, rows = bytes(map(index.__getitem__, labels)), self._row_tables
+            idx, rows, last = bytes(map(index.__getitem__, labels)), self._row_tables, self._pulled
+            if idx == last[0]:
+                return last[1]
             key = idx[::-1]  # position k-1 first: it is the row's top bit
             if rows is None:  # a one-shot graph pays only for the rows its labels reach
                 self._row_tables = ()
-                return tuple([int(key.translate(_row_table(masks[a])), 2) for a in idx])
-            if not rows:
-                rows = self._row_tables = tuple(map(_row_table, masks))
-            return tuple([int(key.translate(rows[a]), 2) for a in idx])
+                pulled = tuple([int(key.translate(_row_table(masks[a])), 2) for a in idx])
+            else:
+                if not rows:
+                    rows = self._row_tables = tuple(map(_row_table, masks))
+                pulled = tuple([int(key.translate(rows[a]), 2) for a in idx])
+            self._pulled = idx, pulled
+            return pulled
         idx = [index[v] for v in labels]
         at = [0] * len(masks)  # the positions holding each vertex
         present = 0

@@ -25,7 +25,7 @@ never lengthen the word, so the search is finite and exact.
 
 from __future__ import annotations
 
-import random
+import _random
 from collections import deque
 from itertools import repeat, starmap
 from math import trunc
@@ -271,7 +271,7 @@ def oracle_is_trivial(g: Raag, w: Word, max_reduced_length: int = 14) -> bool:
 _LANES = int.from_bytes(b"\xe0\xff\xff\xff\0\0\0\0" * 1024, "little")
 
 
-def _shuffle_commuting(rng: random.Random, codes: list[int], commute: tuple[bytes, ...]) -> None:
+def _shuffle_commuting(rng: _random.Random, codes: list[int], commute: tuple[bytes, ...]) -> None:
     """In-place obfuscation of letter codes: 4*len random attempts to swap an
     adjacent commuting pair. Length-preserving, triviality-preserving."""
     n = len(codes)
@@ -312,7 +312,7 @@ def _sample(graph: SimplicialGraph, seed: int, even: int, extra: bool) -> Word:
     letters, commute, edges = graph._letter_codes
     n, ne = len(graph.vertices), len(edges)
     nb, eb = n.bit_length(), ne.bit_length()
-    rng = random.Random(seed)
+    rng = _random.Random(seed)  # random.Random's C base: the same draws, no Python layer
     bits, rand = rng.getrandbits, rng.random
     out: list[int] = []
     while len(out) < even:

@@ -17,6 +17,7 @@ columns; any t decoded shares recover x by Lagrange interpolation.
 
 from __future__ import annotations
 
+import _random
 import random
 from collections.abc import Iterable, Sequence
 
@@ -113,7 +114,7 @@ def encode_column(g: Raag, c: BitColumn, target_length: int, seed: int) -> WordC
     c = bit_column(c)
     if target_length <= 0 or target_length % 2:
         raise SharingError("word length must be a positive even integer")
-    rng = random.Random(seed)
+    rng = _random.Random(seed)
     samplers = (sample_nontrivial_word, sample_trivial_word)
     return tuple(samplers[bit](g, target_length, rng.getrandbits(64)) for bit in c)
 

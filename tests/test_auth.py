@@ -1,3 +1,4 @@
+import _random
 import hashlib
 import random
 
@@ -60,6 +61,18 @@ class TestDraws:
                 reference_shuffle(expected, ref)
                 assert items == expected
                 assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, True, 2**64, 2**200 + 3])
+    def test_c_generator_draws_as_random_random(self, seed):
+        # commitments, protocol runs and word samples seed random.Random's C base class:
+        # it must give random.Random's getrandbits and random streams on every Python
+        fast, slow = _random.Random(seed), random.Random(seed)
+        for k in (1, 2, 3, 31, 32, 33, 64, 65, 256, 1000):
+            for draw in ("getrandbits", "random"):
+                args = (k,) if draw == "getrandbits" else ()
+                assert ([getattr(fast, draw)(*args) for _ in range(5)]
+                        == [getattr(slow, draw)(*args) for _ in range(5)])
+        assert fast.getstate() == _random.Random.getstate(slow)  # the same MT19937 state
 
 
 class TestHomKeygen:

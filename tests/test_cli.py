@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import raagcrypt
-from raagcrypt import bench
+from raagcrypt import auth, bench
 from raagcrypt.cli import ROUND_FILES, TRANSCRIPT_FILE, main
 from raagcrypt.graphs import GraphError, parse_graph
 from raagcrypt.raag import sample_trivial_word
@@ -423,6 +423,21 @@ class TestAuthCommands:
                            "--dir", str(run_dir), "--rounds", "5")
         assert code == 0
         assert out.count("verdict accept") == 5 and "accept true" in out
+
+    @pytest.mark.parametrize("scheme", ["hom", "sub"])
+    def test_prove_builds_the_key_pair_once(self, capsys, tmp_path, monkeypatch, scheme):
+        # the private key is checked by building its key pair; prove runs on that build
+        key_dir = tmp_path / "key"
+        assert run(capsys, "auth", "keygen", "--scheme", scheme, "--seed", "5",
+                   "--out-dir", str(key_dir))[0] == 0
+        cls, builds = auth.KEY_PAIRS[scheme], []
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a: builds.append(init(self, *a)))
+        assert run(capsys, "auth", "prove", "--public", str(key_dir / "public_key.txt"),
+                   "--private", str(key_dir / "private_key.txt"), "--rounds", "2",
+                   "--seed", "11", "--challenge-seed", "22",
+                   "--out-dir", str(tmp_path / "run"))[0] == 0
+        assert len(builds) == 1
 
     def test_tampered_response_rejected(self, capsys, tmp_path):
         key_dir, run_dir = tmp_path / "key", tmp_path / "run"
@@ -838,16 +853,17 @@ MUTATION_TOKENS = ("", "0", "-1", "1.0", "2", "99999999999999999999", "zz", "v0"
                    "nn", "tn", "participant", "k", "p", "t", "bits", "value", "round")
 
 
-def mutate(rng, text):
-    """``text`` with one of seven mutations: a character replaced by a token, a line
+def mutate(rng, text, foreign):
+    """``text`` with one of eight mutations: a character replaced by a token, a line
     deleted or duplicated, a token replaced or copied within its line, the text
-    truncated, or a token appended to a line. Tokens come from MUTATION_TOKENS or the
-    text itself."""
+    truncated, a token appended to a line, or a line inserted anywhere: a ``#`` comment,
+    a blank line or one of ``foreign``, directive lines of other files. Tokens come from
+    MUTATION_TOKENS or the text itself."""
     lines = text.split("\n")
     i = rng.randrange(len(lines))
     tokens = lines[i].split()
     token = rng.choice(MUTATION_TOKENS + tuple(text.split()))
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     if kind == 0:
         at = rng.randrange(len(text) + 1)
         return text[:at] + token + text[at + 1:]
@@ -863,6 +879,9 @@ def mutate(rng, text):
     elif kind == 4 and tokens:
         tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(tokens))
         lines[i] = " ".join(tokens)
+    elif kind == 7:
+        line = ("# " + token, "", rng.choice(foreign))[rng.randrange(3)]
+        lines.insert(rng.randrange(len(lines) + 1), line)
     else:
         lines[i] += " " + token
     return "\n".join(lines)
@@ -925,10 +944,14 @@ def fuzz_readers(root, seed, per_target):
     one file mutated at a time, and count the inputs by exit code. Fails on an
     exception escaping ``main`` or an exit code other than 0, 1 or 2."""
     rng, codes = random.Random(seed), collections.Counter()
-    for argv, path in walkthrough_targets(root):
-        original = Path(path).read_text(encoding="utf-8")
+    targets = walkthrough_targets(root)
+    originals = {path: Path(path).read_text(encoding="utf-8") for _, path in targets}
+    for argv, path in targets:
+        original = originals[path]
+        foreign = [line for other, text in originals.items() if other != path
+                   for line in text.splitlines() if line.strip() and line.split()[0][0] != "#"]
         for _ in range(per_target):
-            text = mutate(rng, original)
+            text = mutate(rng, original, foreign)
             Path(path).write_text(text, encoding="utf-8")
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):

@@ -769,3 +769,86 @@ class TestMaskCore:
     def test_trusted_accepts_valid_masks(self):
         g = SimplicialGraph._trusted(("a", "b", "c"), (0b110, 0b001, 0b001))
         assert g == SimplicialGraph(("a", "b", "c"), [("a", "b"), ("a", "c")])
+
+
+def walked_check(vertices, masks):
+    """The row-by-row walk that ``_trusted`` ran before its transpose check, kept as the
+    reference: the message of the first row that disagrees with the rows before it (a bit
+    at or above n, a loop, or a bit unlike its mirror), or None when the masks pass."""
+    n = len(vertices)
+    column = [0] * n  # bits j < i with bit i set in masks[j]
+    for i, m in enumerate(masks):
+        if m >> n or m & (2 << i) - 1 != column[i]:
+            return f"mask of {vertices[i]!r}: asymmetric, a loop or a bit >= {n}"
+        above = m >> i + 1
+        while above:
+            low = above & -above
+            column[i + low.bit_length()] |= 1 << i
+            above ^= low
+    return None
+
+
+class TestTrustedTranspose:
+    @staticmethod
+    def _corruptions(rng, masks):
+        """Valid masks first, then copies broken in each way the check must catch: an
+        asymmetric bit, a loop, a bit at or above n but below the packing stride, a bit
+        at or above the stride, a negative mask, and several of these at once."""
+        n = len(masks)
+        stride = max(8, 1 << (n - 1).bit_length())
+        yield masks
+        if not n:
+            return
+        for bits in ([rng.randrange(n), rng.randrange(n)],  # asymmetric, or a loop if equal
+                     [rng.randrange(n)] * 2,  # a loop
+                     [rng.randrange(n), rng.randrange(n, stride + 1)],
+                     [rng.randrange(n), rng.randrange(stride, stride + 70)]):
+            broken = list(masks)
+            broken[bits[0]] ^= 1 << bits[1]
+            yield broken
+        broken = list(masks)
+        broken[rng.randrange(n)] = -rng.randrange(1, 1 << n)
+        yield broken
+        broken = list(masks)
+        for _ in range(3):
+            broken[rng.randrange(n)] ^= 1 << rng.randrange(stride + 8)
+        yield broken
+
+    def test_transpose_check_agrees_with_the_walk(self):
+        # n = 0..300 runs the bytes, array and to_bytes packings, at strides 8 to 512
+        rng = random.Random(3535)
+        for n in range(301):
+            if n > 70 and n % 23 not in (0, 1) and n not in (127, 128, 129, 255, 256, 257):
+                continue
+            vertices = tuple(f"v{i}" for i in range(n))
+            masks = random_graph(n, rng.random(), n).adjacency_masks()
+            for case in self._corruptions(rng, masks):
+                expected = walked_check(vertices, case)
+                if expected is None:
+                    assert SimplicialGraph._trusted(vertices, case).adjacency_masks() == tuple(case)
+                else:
+                    with pytest.raises(GraphError) as caught:
+                        SimplicialGraph._trusted(vertices, case)
+                    assert str(caught.value) == expected, (n, case)
+
+    def test_memoized_masks_stay_per_power_of_two(self):
+        graphs._transpose_masks.cache_clear()
+        for n in range(1, 70):
+            random_graph(n, 0.5, n)  # built by _trusted
+        assert graphs._transpose_masks.cache_info().currsize == 8  # b = 1, 2, 4, .., 128
+
+
+class TestLastPullback:
+    def test_interleaved_pullbacks_equal_fresh_ones(self):
+        # repeat, change, repeat: the last pullback's masks come back only for its own
+        # index bytes, on both sides of the 256-vertex split
+        rng = random.Random(3636)
+        for n in (1, 7, 16, 255, 256, 257, 300):
+            g = random_graph(n, 0.4, n)
+            first = [rng.choice(g.vertices) for _ in range(min(n, 12))]
+            changed = first[:-1] + [g.vertices[(g.index_of(first[-1]) + 1) % n]]
+            shorter, swapped = first[:-1], first[::-1]
+            for labels in (first, first, changed, first, first, shorter, changed, changed,
+                           swapped, first, [], [], first):
+                fresh = SimplicialGraph._trusted(g.vertices, g.adjacency_masks())
+                assert g._induced_masks(iter(labels)) == fresh._induced_masks(labels), (n, labels)
