@@ -14,12 +14,11 @@ configuration, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 from pathlib import Path
 
-from . import auth, bench, sharing
+from . import analyze, auth, bench, sharing
 from .graphs import (
     GraphError,
     _directives,
@@ -290,25 +289,13 @@ def cmd_auth_verify(args) -> int:
     return EXIT_OK if accept else EXIT_NEGATIVE
 
 
-def _wilson95(successes: int, trials: int) -> tuple[float, float]:
-    """The 95% Wilson score interval for a binomial proportion."""
-    z = 1.959963984540054
-    p, zz = successes / trials, z * z / trials
-    centre = (p + zz / 2) / (1 + zz)
-    half = z / (1 + zz) * math.sqrt(p * (1 - p) / trials + zz / (4 * trials))
-    # the interval contains p exactly; clamp away rounding at 0 of n and n of n
-    return max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half))
-
-
 def cmd_auth_simulate(args) -> int:
     rng = random.Random(args.seed)
     key = _keygen(args, rng.getrandbits(64))
     rate = auth.acceptance_rate(args.scheme, key, args.strategy, args.rounds,
                                 args.trials, rng.getrandbits(64))
-    accepted = round(rate * args.trials)
-    low, high = _wilson95(accepted, args.trials)
-    print(f"strategy {args.strategy} rounds {args.rounds} trials {args.trials} "
-          f"accepted {accepted} wilson95 {low:.6f} {high:.6f} acceptance {rate:.6f}")
+    print(analyze.AttackRecord(args.strategy, (("rounds", args.rounds),), args.trials,
+                               round(rate * args.trials)).line())
     return EXIT_OK
 
 

@@ -131,7 +131,7 @@ def _row_table(mask: int) -> bytes:
 _TYPECODES = {array(c).itemsize * 8: c for c in "HILQ"} if sys.byteorder == "little" else {}
 
 
-@lru_cache(maxsize=None)  # b = 1024 holds 11 ints of 128 KB; one entry per power of two
+@lru_cache(maxsize=None)  # one entry per power of two b <= 256, each at most 0.07 MB
 def _transpose_masks(b: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """For n-by-n bit matrices with n <= b, a power of two: the stride s = max(8, b) at which
     they are stored row-major (bit ``i * s + j`` is entry (i, j)), the mask of the entries
@@ -194,7 +194,8 @@ class SimplicialGraph:
         index = _label_index(vertices)
         if len(masks) != n:
             raise GraphError(f"{len(masks)} masks for {n} vertices")
-        s, zeros, swaps = _transpose_masks(1 << (n - 1).bit_length())
+        s, zeros, swaps = (_transpose_masks if n <= 256 else _transpose_masks.__wrapped__)(
+            1 << (n - 1).bit_length())  # above 256, built per call: 1.4 MB not kept at 1024
         try:  # bytes() packs like a 'B' array, only faster
             packed = int.from_bytes(
                 bytes(masks) if s == 8 else array(_TYPECODES[s], masks) if s in _TYPECODES

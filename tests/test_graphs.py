@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -836,6 +837,18 @@ class TestTrustedTranspose:
         for n in range(1, 70):
             random_graph(n, 0.5, n)  # built by _trusted
         assert graphs._transpose_masks.cache_info().currsize == 8  # b = 1, 2, 4, .., 128
+
+    def test_large_graphs_leave_no_transpose_masks_behind(self):
+        # b = 2048 would keep 6.15 MB of masks; above b = 256 they are built per call
+        graphs._transpose_masks.cache_clear()
+        vertices, masks = [f"v{i}" for i in range(1025)], [0] * 1025
+        tracemalloc.start()
+        try:
+            graph = SimplicialGraph._trusted(vertices, masks)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert graph.vertices == tuple(vertices) and left < 1 << 20, left
 
 
 class TestLastPullback:
