@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import and_, inv
@@ -131,25 +131,31 @@ def _row_table(mask: int) -> bytes:
 _TYPECODES = {array(c).itemsize * 8: c for c in "HILQ"} if sys.byteorder == "little" else {}
 
 
-@lru_cache(maxsize=None)  # one entry per power of two b <= 256, each at most 0.07 MB
-def _transpose_masks(b: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+def _transpose_plan(b: int) -> tuple[int, int, Iterator[tuple[int, int]]]:
     """For n-by-n bit matrices with n <= b, a power of two: the stride s = max(8, b) at which
     they are stored row-major (bit ``i * s + j`` is entry (i, j)), the mask of the entries
-    that must be 0 (the diagonal, and any column at or above b), and the (shift, mask) of
-    each delta swap that transposes the top-left b-by-b block: swap k exchanges the k-by-k
-    blocks above and below the diagonal of each 2k-by-2k block (Warren, Hacker's Delight,
+    that must be 0 (the diagonal, and any column at or above b), and a generator of the (shift,
+    mask) of each delta swap that transposes the top-left b-by-b block: swap k exchanges the
+    k-by-k blocks above and below the diagonal of each 2k-by-2k block (Warren, Hacker's Delight,
     2nd ed., 7-3). Each mask tiles a pattern by doubling, in O(log s) big-int operations."""
+    s = max(8, b)
     def tile(pattern: int, period: int, count: int) -> int:  # count is a power of two
         while count > 1:
             pattern |= pattern << period
             period, count = 2 * period, count >> 1
         return pattern
-    s, swaps, k = max(8, b), [], b >> 1
-    while k:  # entries (i, j) with bit k clear in i and set in j move k rows down, k left
-        row = tile(((1 << k) - 1) << k, 2 * k, s // (2 * k))
-        swaps.append((k * (s - 1), tile(tile(row, s, k), 2 * k * s, s // (2 * k))))
-        k >>= 1
-    return s, tile(1, s + 1, s) | tile((1 << s) - (1 << b), s, s), tuple(swaps)
+    def swaps() -> Iterator[tuple[int, int]]:  # each mask built as the transpose reaches it
+        for k in (b >> e for e in range(1, b.bit_length())):  # k = b/2, b/4, .., 1
+            # entries (i, j) with bit k clear in i and set in j move k rows down, k left
+            row = tile(((1 << k) - 1) << k, 2 * k, s // (2 * k))
+            yield k * (s - 1), tile(tile(row, s, k), 2 * k * s, s // (2 * k))
+    return s, tile(1, s + 1, s) | tile((1 << s) - (1 << b), s, s), swaps()
+
+
+@lru_cache(maxsize=None)  # one entry per power of two b <= 256, each at most 0.07 MB
+def _transpose_masks(b: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    s, zeros, swaps = _transpose_plan(b)  # the plan, its swap masks kept as one tuple
+    return s, zeros, tuple(swaps)
 
 
 class SimplicialGraph:
@@ -194,8 +200,8 @@ class SimplicialGraph:
         index = _label_index(vertices)
         if len(masks) != n:
             raise GraphError(f"{len(masks)} masks for {n} vertices")
-        s, zeros, swaps = (_transpose_masks if n <= 256 else _transpose_masks.__wrapped__)(
-            1 << (n - 1).bit_length())  # above 256, built per call: 1.4 MB not kept at 1024
+        s, zeros, swaps = (_transpose_masks if n <= 256 else _transpose_plan)(
+            1 << (n - 1).bit_length())  # above 256, one swap mask at a time, none kept
         try:  # bytes() packs like a 'B' array, only faster
             packed = int.from_bytes(
                 bytes(masks) if s == 8 else array(_TYPECODES[s], masks) if s in _TYPECODES

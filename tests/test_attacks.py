@@ -4,17 +4,20 @@ Each attack is a plain function over the package's public API and the graphs' ma
 class names the claim that its attack refutes; a fix flips its test.
 """
 
+from collections import Counter
 from itertools import combinations
 
-from raagcrypt.auth import hom_commit, hom_keygen, hom_verify
+from raagcrypt.auth import hom_commit, hom_keygen, hom_verify, run_protocol
 from raagcrypt.graphs import (
     SearchBudgetExceeded,
     SimplicialGraph,
     VertexMap,
     find_graph_homomorphism,
+    find_induced_subgraph_isomorphism,
     verify_graph_homomorphism,
 )
-from raagcrypt.sharing import decode_share_nn, deal_nn, random_dealer_setup_nn
+from raagcrypt.raag import Raag
+from raagcrypt.sharing import decode_column, decode_share_nn, deal_nn, random_dealer_setup_nn
 
 
 def max_clique(masks) -> list[int]:
@@ -79,6 +82,43 @@ def substitute_key(key, budget: int = 200_000) -> tuple[int, dict[str, str] | No
     return len(clique), {v: key.g2.vertices[clique[c]] for v, c in zip(key.g1.vertices, colours)}
 
 
+def estimate_graph(generators, words, edge_count: int) -> SimplicialGraph:
+    """A guess at a share's relator graph from its words alone: count each unordered pair of
+    distinct generators on adjacent letters, and keep the ``edge_count`` most frequent pairs
+    as the edges, ties broken by the generators' order."""
+    order = {v: i for i, v in enumerate(generators)}
+    counts = Counter()
+    for w in words:
+        for (a, _), (b, _) in zip(w, w[1:]):
+            if a != b:
+                counts[min(a, b, key=order.get), max(a, b, key=order.get)] += 1
+    ranked = sorted(counts, key=lambda pair: (-counts[pair], order[pair[0]], order[pair[1]]))
+    return SimplicialGraph(generators, ranked[:edge_count])
+
+
+def extract_key(key, max_sessions: int = 10) -> tuple[int, dict[str, str] | None]:
+    """The number of honest sessions read, and the map g1 -> g2 found: push each challenge-1
+    commitment's edges forward along its response (alpha after beta) until the images hold
+    |E(g1)| edges on |V(g1)| vertices, then run one induced search from g1 onto that image in
+    their disjoint union (g1's labels are ``a*``, g2's ``b*``). The map is None when
+    ``max_sessions`` sessions never fill the images up."""
+    g1, g2 = key.g1, key.g2
+    edges, seen = set(), set()
+    for r in range(1, max_sessions + 1):
+        for state in run_protocol("hom", key, 10, "honest", 7000 + r, 9000 + r).rounds:
+            if state.challenge == 1:
+                image = state.response.assignment
+                seen.update(image.values())
+                edges.update(frozenset((image[u], image[v]))
+                             for u, v in state.commitment.edge_list())
+        if len(edges) == len(g1.edge_list()) and len(seen) == len(g1.vertices):
+            targets = sorted(seen, key=g2.index_of)
+            union = SimplicialGraph(g1.vertices + tuple(targets),
+                                    g1.edge_list() + [tuple(e) for e in edges])
+            return r, find_induced_subgraph_isomorphism(union, g1.vertices, targets)
+    return max_sessions, None
+
+
 class TestSubstituteKey:
     """ROADMAP item 14, pinned: the paper rests ``hom`` on Graph Homomorphism being
     NP-complete, but a challenge-1 answer is checked only as a homomorphism into g2, so any
@@ -127,3 +167,40 @@ class TestLengthParity:
         assert right == 256
         xor = [sum(1 - len(share.words[i]) % 2 for share in shares) % 2 for i in range(64)]
         assert tuple(xor) == secret
+
+
+class TestAdjacencyEstimate:
+    """ROADMAP item 1, pinned: the paper rests share secrecy on "only the holder's graph
+    decodes a word", but commuting generators sit on adjacent letters more often, so the
+    most frequent adjacent pairs of one share's words give the holder's graph, or nearly.
+    A fix flips this test."""
+
+    def test_adjacent_pairs_give_the_holders_graph(self):
+        secret = tuple(int(b) for b in f"{0x0123456789ABCDEF:064b}" * 4)
+        found = {}
+        for seed in range(1, 21):
+            setup = random_dealer_setup_nn(2, 256, 8, 0.5, seed)
+            # participant 1's column is an XOR pad, so the counts do not depend on the secret
+            share = deal_nn(setup, secret, 1000 + seed)[0]
+            guess = estimate_graph(setup.generators, share.words, len(share.graph.edge_list()))
+            right = sum(a == b for a, b in zip(decode_column(Raag(guess), share.words),
+                                               decode_share_nn(share)))
+            found[seed] = (guess == share.graph, right)
+        misses = {seed: right for seed, (exact, right) in found.items() if not exact}
+        assert misses == {1: 246, 8: 248, 15: 246}
+        assert all(right == 256 for seed, (_, right) in found.items() if seed not in misses)
+
+
+class TestTranscriptExtraction:
+    """ROADMAP item 5, pinned: the paper rests ``hom`` on Graph Homomorphism and its rounds on
+    showing nothing of alpha, but each challenge-1 answer sends a commitment's edges through
+    alpha, so two honest sessions of 10 rounds map g1's edges onto g2, and one induced search
+    reads alpha off the image. A fix flips this test."""
+
+    def test_two_honest_sessions_give_the_private_map(self):
+        for seed in range(1, 6):
+            key = hom_keygen(16, 16, seed)
+            sessions, phi = extract_key(key)
+            assert sessions == 2, seed
+            assert phi == key.alpha.assignment, seed
+            assert verify_graph_homomorphism(VertexMap(key.g1, key.g2, phi))

@@ -850,6 +850,18 @@ class TestTrustedTranspose:
             tracemalloc.stop()
         assert graph.vertices == tuple(vertices) and left < 1 << 20, left
 
+    def test_large_graphs_build_one_swap_mask_at_a_time(self):
+        # at b = 2048 a swap mask is 0.5 MB, and all 11 of them at once peaked at 6.7 MB
+        vertices, masks = [f"v{i}" for i in range(1025)], [0] * 1025
+        SimplicialGraph._trusted(vertices, masks)  # the memoized label check is not measured
+        tracemalloc.start()
+        try:
+            SimplicialGraph._trusted(vertices, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
 
 class TestLastPullback:
     def test_interleaved_pullbacks_equal_fresh_ones(self):

@@ -1,6 +1,7 @@
 """The package's public surface: every name a module exports exists, the
 package and its CLI import in a fresh interpreter without loading
-``typing``, and the README's library example runs and prints what its
+``typing``, the package root imports no module and binds only its
+version, and the README's library example runs and prints what its
 comments say."""
 
 import importlib
@@ -31,6 +32,19 @@ def test_package_imports_in_a_fresh_interpreter():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_root_imports_no_module_and_binds_only_the_version():
+    # each public name has one import path, its own module, so the root re-exports nothing
+    root = str(Path(raagcrypt.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {root!r}); import raagcrypt; "
+            "print(sorted(m for m in sys.modules if m.startswith('raagcrypt.'))); "
+            "print(sorted(n for n in vars(raagcrypt) if not n.startswith('__')), "
+            "raagcrypt.__version__)")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n[] 0.1.0\n"
 
 
 def test_readme_library_example(capsys):
