@@ -86,7 +86,8 @@ __all__ = [
     "parse_transcript",
 ]
 
-STRATEGIES = ("honest", "cheat-guess-0", "cheat-guess-1", "cheat-random")
+# each prover strategy: the challenge its commitment answers (None: a fresh coin per round)
+STRATEGIES = {"honest": 0, "cheat-guess-0": 0, "cheat-guess-1": 1, "cheat-random": None}
 
 DEFAULT_EDGE_PROB = 0.5
 # keygen thins the pulled-back edge set to vary public keys; commitments
@@ -420,8 +421,8 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     """Execute ``rounds`` independent rounds and return the transcript.
 
     The rounds run the scheme's steps from ``scheme_steps``, fixed once before
-    the rounds: ``commit``, ``respond``, ``junk`` and ``verify``. Each round
-    commits (for challenge 0 when honest, for the guess when cheating), draws
+    the rounds: ``commit``, ``respond``, ``junk`` and ``verify``. Each round commits
+    for the strategy's ``STRATEGIES`` entry (a fresh prover coin where it is None), draws
     the challenge, responds and verifies. Only the honest prover responds with
     the private key; a cheater answers with its session map or, after a wrong
     guess, junk, so cheating strategies never touch the private key.
@@ -434,18 +435,17 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     """
     _check_rounds(rounds)
     if strategy not in STRATEGIES:
-        raise AuthError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+        raise AuthError(f"unknown strategy {strategy!r}; pick one of {tuple(STRATEGIES)}")
     if not isinstance(key, KEY_PAIRS.get(scheme, ())):
         raise AuthError(f"a {type(key).__name__} is not a key of scheme {scheme!r}")
     commit, respond, junk, verify = scheme_steps((scheme, *key._values()[:-1]), commit_size)
     prng = _random.Random(prover_seed)
     vrng = _random.Random(verifier_seed)
-    honest = strategy == "honest"
-    fixed_guess = 1 if strategy == "cheat-guess-1" else 0
+    honest, fixed_guess = strategy == "honest", STRATEGIES[strategy]
     states: list[RoundState] = []
     accept = True
     for _ in range(rounds):
-        guess = prng.getrandbits(1) if strategy == "cheat-random" else fixed_guess
+        guess = prng.getrandbits(1) if fixed_guess is None else fixed_guess
         commitment, session = commit(guess, prng.getrandbits(64))
         challenge = vrng.getrandbits(1)
         if honest:

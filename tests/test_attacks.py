@@ -7,7 +7,18 @@ class names the claim that its attack refutes; a fix flips its test.
 from collections import Counter
 from itertools import combinations
 
-from raagcrypt.auth import hom_commit, hom_keygen, hom_verify, run_protocol
+from raagcrypt.analyze import AttackRecord
+from raagcrypt.auth import (
+    HomKeyPair,
+    acceptance_rate,
+    format_private_key,
+    format_public_key,
+    hom_commit,
+    hom_keygen,
+    hom_verify,
+    run_protocol,
+)
+from raagcrypt.cli import main
 from raagcrypt.graphs import (
     SearchBudgetExceeded,
     SimplicialGraph,
@@ -151,6 +162,45 @@ class TestSubstituteKey:
         assert found == {1: (5, True), 2: (5, True), 3: (4, False), 4: (5, True), 5: (6, True)}
         k4 = SimplicialGraph("wxyz", combinations("wxyz", 2))
         assert find_graph_homomorphism(hom_keygen(16, 16, 3).g1, k4, budget=10**6) is None
+
+
+class TestSubstituteKeySessions:
+    """ROADMAP item 14, through the package's own driver and CLI: the paper rests ``hom`` on
+    Graph Homomorphism being NP-complete, but ``HomKeyPair`` takes any homomorphism g1 -> g2
+    as the private key, so the honest prover holding a substitute key, read off public data
+    and unlike alpha on nearly every vertex, passes whole sessions. A fix flips this test."""
+
+    def test_substitute_keys_pass_whole_honest_sessions(self):
+        rates, differ = [], []
+        for seed in range(1, 6):
+            key = hom_keygen(32, 48, seed)
+            _, phi = substitute_key(key)
+            differ.append(sum(phi[v] != key.alpha.assignment[v] for v in key.g1.vertices))
+            rates.append(acceptance_rate("hom", HomKeyPair(key.g1, key.g2, phi), "honest",
+                                         20, 50, 100 + seed))
+        assert (rates, differ) == ([1.0] * 5, [32, 31, 30, 31, 31])
+        record = AttackRecord("substitute-key", (("n1", 32), ("n2", 48), ("rounds", 20)), 250,
+                              sum(round(rate * 50) for rate in rates))
+        assert record.line() == ("strategy substitute-key n1 32 n2 48 rounds 20 trials 250"
+                                 " accepted 250 wilson95 0.984867 1.000000 acceptance 1.000000")
+
+    def test_substitute_private_key_passes_prove_and_verify(self, capsys, tmp_path):
+        key = hom_keygen(32, 48, 1)
+        _, phi = substitute_key(key)
+        public, private = tmp_path / "public_key.txt", tmp_path / "private_key.txt"
+        public.write_text(format_public_key(key))
+        private.write_text(format_private_key(HomKeyPair(key.g1, key.g2, phi)))
+        run_dir = str(tmp_path / "run")
+        assert main(["auth", "prove", "--public", str(public), "--private", str(private),
+                     "--rounds", "20", "--seed", "5", "--challenge-seed", "6",
+                     "--out-dir", run_dir]) == 0
+        capsys.readouterr()
+        assert main(["auth", "verify", "--public", str(public), "--dir", run_dir,
+                     "--rounds", "20"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "accept true"
+        # the challenge-1 rounds are the ones the substitute key answers
+        assert out.count("challenge 1 verdict accept") == 10
 
 
 class TestLengthParity:

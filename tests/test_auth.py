@@ -434,6 +434,12 @@ class TestProtocol:
         with pytest.raises(AuthError, match="hom' only"):
             run_protocol("sub", sub_keygen(12, 5, 11), 1, "honest", 1, 2, commit_size=5)
 
+    def test_unknown_strategy_message_names_the_table_in_order(self):
+        with pytest.raises(AuthError) as e:
+            run_protocol("hom", hom_keygen(7, 7, 11), 1, "replay", 1, 2)
+        assert str(e.value) == ("unknown strategy 'replay'; pick one of "
+                                "('honest', 'cheat-guess-0', 'cheat-guess-1', 'cheat-random')")
+
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_rounds_below_one_refused_on_both_schemes(self, rounds):
         for scheme, key in (("hom", hom_keygen(7, 7, 11)), ("sub", sub_keygen(12, 5, 11))):

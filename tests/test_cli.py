@@ -18,6 +18,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -687,6 +688,16 @@ class TestAuthCommands:
     def test_simulate_requires_seed(self, capsys):
         assert run(capsys, "auth", "simulate", "--scheme", "sub", "--strategy", "honest",
                    "--rounds", "1", "--trials", "10")[0] == 2
+
+    def test_simulate_refuses_an_unknown_strategy_naming_the_table(self, capsys):
+        code, out, err = run(capsys, "auth", "simulate", "--scheme", "hom", "--strategy",
+                             "replay", "--rounds", "2", "--trials", "1", "--seed", "1")
+        assert code == 2 and out == ""
+        line = next(line for line in err.splitlines() if "invalid choice" in line)
+        # argparse versions quote the choices differently, so only names and order are read
+        choices = line.split("choose from", 1)[1]
+        assert re.findall(r"honest|cheat-[a-z]+(?:-[01])?", choices) == [
+            "honest", "cheat-guess-0", "cheat-guess-1", "cheat-random"]
 
 
 class TestAuthCliGolden:
