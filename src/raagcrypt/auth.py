@@ -10,8 +10,8 @@ survives a round with probability 1/2, so r rounds hold it to 2^-r.
 Neither scheme holds every cheater to that: a complete bipartite "hom"
 commitment maps into any graph with an edge and answers both challenges
 without alpha, and the induced search recovers a "sub" alpha from the
-public key alone in milliseconds (see the README). ``scheme_steps``
-owns each scheme's round rules (commit, respond, junk answer, verify);
+public key alone in milliseconds (see the README). Each key-pair class owns
+its scheme's round rules (``steps``: commit, respond, junk answer, verify);
 ``run_protocol`` runs every prover strategy through them, and
 ``raagcrypt auth verify`` re-checks recorded rounds.
 
@@ -75,7 +75,6 @@ __all__ = [
     "sub_commit",
     "sub_respond",
     "sub_verify",
-    "scheme_steps",
     "run_protocol",
     "acceptance_rate",
     "format_public_key",
@@ -116,6 +115,24 @@ class HomKeyPair(Record):
         if triangle_vertices(self.g2) is None:
             raise AuthError("g2 must contain a triangle")
 
+    @staticmethod
+    def steps(g1: SimplicialGraph, g2: SimplicialGraph, commit_size: int | None = None):
+        """Round rules over the public fields: ``commit(bit, seed)`` (a commitment and the session
+        map that answers challenge ``bit``), ``respond(session, c, key)`` (the honest answer to
+        ``c``), ``junk(commitment, c, rng)`` (a random answer) and ``verify(commitment, c,
+        response)``. A commitment has ``commit_size`` vertices, g1's count plus 2 by default."""
+        targets = (g1, g2)
+        size = commit_size if commit_size is not None else len(g1.vertices) + 2
+
+        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, VertexMap]:
+            return hom_commit(targets[bit], size, seed)
+
+        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> VertexMap:
+            images = _random_images(targets[c], len(commitment.vertices), rng)
+            return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
+
+        return commit, hom_respond, junk, partial(hom_verify, g1, g2)
+
 
 class SubKeyPair(Record):
     """Public ambient graph and subsets s1, s2; private induced bijection alpha."""
@@ -137,6 +154,24 @@ class SubKeyPair(Record):
             raise AuthError(f"private bijection is malformed: {e}") from None
         if not ok:
             raise AuthError("private bijection does not preserve the induced structure")
+
+    @staticmethod
+    def steps(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
+              commit_size: int | None = None):
+        """``HomKeyPair.steps``'s rules; a commitment has s1's size, so a commit size is refused."""
+        if commit_size is not None:
+            raise AuthError("commit size applies to scheme 'hom' only")
+        subsets = (s1, s2)
+
+        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
+            return sub_commit(ambient, subsets[bit], seed)
+
+        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> dict[str, str]:
+            members = list(subsets[c].ordered())
+            _shuffle(members, rng)
+            return dict(zip(commitment.vertices, members))
+
+        return commit, sub_respond, junk, partial(sub_verify, ambient, s1, s2)
 
 
 # fields: the public key as parse_public_key gives it after the scheme name, then alpha
@@ -379,49 +414,14 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
 # protocol driver
 
 
-def scheme_steps(public: tuple, commit_size: int | None = None):
-    """The round rules of the scheme of ``public``, a public key as ``parse_public_key``
-    returns it: ``commit(bit, seed)`` (a commitment and the session map that answers
-    challenge ``bit``), ``respond(session, c, key)`` (the honest answer to challenge ``c``),
-    ``junk(commitment, c, rng)`` (a random answer) and ``verify(commitment, c, response)``.
-    It looks the ``hom_*``/``sub_*`` functions up when called. ``commit_size`` sets the
-    ``hom`` commitment size (default: g1's plus 2); ``sub`` commitments have the subset's
-    size, so there it raises AuthError."""
-    if public[0] == "hom":
-        targets = public[1:]
-        size = commit_size if commit_size is not None else len(targets[0].vertices) + 2
-
-        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, VertexMap]:
-            return hom_commit(targets[bit], size, seed)
-
-        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> VertexMap:
-            images = _random_images(targets[c], len(commitment.vertices), rng)
-            return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
-
-        return commit, hom_respond, junk, partial(hom_verify, *targets)
-    if commit_size is not None:
-        raise AuthError("commit size applies to scheme 'hom' only")
-    ambient, *subsets = public[1:]
-
-    def commit(bit: int, seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
-        return sub_commit(ambient, subsets[bit], seed)
-
-    def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> dict[str, str]:
-        members = list(subsets[c].ordered())
-        _shuffle(members, rng)
-        return dict(zip(commitment.vertices, members))
-
-    return commit, sub_respond, junk, partial(sub_verify, *public[1:])
-
-
 def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strategy: str,
                  prover_seed: int, verifier_seed: int, *,
                  commit_size: int | None = None,
                  stop_on_reject: bool = False) -> Transcript:
     """Execute ``rounds`` independent rounds and return the transcript.
 
-    The rounds run the scheme's steps from ``scheme_steps``, fixed once before
-    the rounds: ``commit``, ``respond``, ``junk`` and ``verify``. Each round commits
+    The rounds run the steps of the scheme's key pair (``KEY_PAIRS[scheme].steps``), fixed
+    once before the rounds: ``commit``, ``respond``, ``junk`` and ``verify``. Each round commits
     for the strategy's ``STRATEGIES`` entry (a fresh prover coin where it is None), draws
     the challenge, responds and verifies. Only the honest prover responds with
     the private key; a cheater answers with its session map or, after a wrong
@@ -431,14 +431,14 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     else from the prover's, so a run is deterministic in the two seeds.
     With ``stop_on_reject`` the run ends at the first rejected round (the
     overall accept value is unaffected; Monte Carlo callers use this).
-    ``commit_size`` is ``scheme_steps``'s.
+    ``commit_size`` is ``steps``'s.
     """
     _check_rounds(rounds)
     if strategy not in STRATEGIES:
         raise AuthError(f"unknown strategy {strategy!r}; pick one of {tuple(STRATEGIES)}")
     if not isinstance(key, KEY_PAIRS.get(scheme, ())):
         raise AuthError(f"a {type(key).__name__} is not a key of scheme {scheme!r}")
-    commit, respond, junk, verify = scheme_steps((scheme, *key._values()[:-1]), commit_size)
+    commit, respond, junk, verify = KEY_PAIRS[scheme].steps(*key._values()[:-1], commit_size)
     prng = _random.Random(prover_seed)
     vrng = _random.Random(verifier_seed)
     honest, fixed_guess = strategy == "honest", STRATEGIES[strategy]

@@ -273,7 +273,7 @@ def cmd_auth_verify(args) -> int:
         print(f"reject: transcript has {len(rounds)} rounds, verifier requires {args.rounds}")
         sys.stdout.write(auth.format_transcript(auth.Transcript(public[0], (), False)))
         return EXIT_NEGATIVE
-    *_, verify = auth.scheme_steps(public)
+    *_, verify = auth.KEY_PAIRS[public[0]].steps(*public[1:])
     # every round file is read before the first verdict, so a missing one prints nothing
     messages = [[_read(Path(args.dir) / name.format(i)) for name in ROUND_FILES]
                 for i, _, _ in rounds]

@@ -83,7 +83,7 @@ def empty_piling(g: SimplicialGraph | Raag) -> Piling:
 
 def _check_letter(graph: SimplicialGraph, l: Letter) -> None:
     gen, sign = l
-    if not graph.has_vertex(gen):
+    if not isinstance(gen, str) or not graph.has_vertex(gen):
         raise WordError(f"unknown generator {gen!r}")
     letter(gen, sign)  # rejects signs other than +1/-1
 

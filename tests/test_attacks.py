@@ -7,7 +7,7 @@ class names the claim that its attack refutes; a fix flips its test.
 from collections import Counter
 from itertools import combinations
 
-from raagcrypt.analyze import AttackRecord
+from raagcrypt.analyze import AttackRecord, wilson95
 from raagcrypt.auth import (
     HomKeyPair,
     acceptance_rate,
@@ -218,6 +218,18 @@ class TestLengthParity:
         xor = [sum(1 - len(share.words[i]) % 2 for share in shares) % 2 for i in range(64)]
         assert tuple(xor) == secret
 
+    def test_length_parity_as_an_attack_record(self):
+        # one trial per share bit: the bit read off its word's length against the holder's
+        shares = deal_nn(random_dealer_setup_nn(4, 64, 10, 0.5, 3),
+                         tuple(int(b) for b in f"{0x0123456789ABCDEF:064b}"), 5)
+        reads = [1 - len(w) % 2 == bit for share in shares
+                 for w, bit in zip(share.words, decode_share_nn(share))]
+        record = AttackRecord("length-parity", (("n", 4), ("bits", 64), ("generators", 10)),
+                              len(reads), sum(reads))
+        assert record._values() == ("length-parity",
+                                    (("n", 4), ("bits", 64), ("generators", 10)), 256, 256)
+        assert [round(b, 6) for b in wilson95(record.successes, record.trials)] == [0.985216, 1.0]
+
 
 class TestAdjacencyEstimate:
     """ROADMAP item 1, pinned: the paper rests share secrecy on "only the holder's graph
@@ -254,3 +266,13 @@ class TestTranscriptExtraction:
             assert sessions == 2, seed
             assert phi == key.alpha.assignment, seed
             assert verify_graph_homomorphism(VertexMap(key.g1, key.g2, phi))
+
+    def test_transcript_extraction_as_an_attack_record(self):
+        # one trial per key: alpha itself read off two honest sessions
+        keys = [hom_keygen(16, 16, seed) for seed in range(1, 6)]
+        hits = [extract_key(key) == (2, key.alpha.assignment) for key in keys]
+        record = AttackRecord("transcript-extraction", (("n1", 16), ("n2", 16), ("sessions", 2)),
+                              len(hits), sum(hits))
+        assert record._values() == ("transcript-extraction",
+                                    (("n1", 16), ("n2", 16), ("sessions", 2)), 5, 5)
+        assert [round(b, 6) for b in wilson95(record.successes, record.trials)] == [0.565518, 1.0]

@@ -28,6 +28,7 @@ from raagcrypt.auth import (
     sub_respond,
     sub_verify,
 )
+from raagcrypt.cli import ROUND_FILES, main
 from raagcrypt.graphs import (
     SearchBudgetExceeded,
     SimplicialGraph,
@@ -841,3 +842,73 @@ class TestPrivateKeyChecks:
         public = parse_public_key(format_public_key(key))
         with pytest.raises(AuthError, match="does not preserve the induced structure"):
             parse_private_key(format_map_lines(swapped, s1), public)
+
+
+class BoundHomKeyPair(HomKeyPair):
+    """A second ``hom`` commitment rule under its own scheme name: the pinned rules, except that
+    a verifier also requires a commitment of exactly |V(g1)| + 2 vertices."""
+
+    scheme = "hom-bound"
+
+    @staticmethod
+    def steps(g1, g2, commit_size=None):
+        commit, respond, junk, verify = HomKeyPair.steps(g1, g2, commit_size)
+        size = len(g1.vertices) + 2
+        return commit, respond, junk, lambda G, c, response: (
+            len(G.vertices) == size and verify(G, c, response))
+
+
+class TestSchemeRoute:
+    """A construction lands as a key-pair class under its own scheme name: the scheme line of
+    the public key names it, and the driver, the key files and ``auth prove``/``auth verify``
+    reach its round rules through ``KEY_PAIRS`` alone, beside the pinned ``hom`` rules."""
+
+    @pytest.fixture(autouse=True)
+    def registered(self, monkeypatch):
+        monkeypatch.setitem(auth.KEY_PAIRS, BoundHomKeyPair.scheme, BoundHomKeyPair)
+
+    @staticmethod
+    def key():
+        key = hom_keygen(7, 7, 11)
+        return BoundHomKeyPair(key.g1, key.g2, key.alpha)
+
+    def test_the_driver_runs_the_named_class_rules(self):
+        key = self.key()
+        assert run_protocol("hom-bound", key, 6, "honest", 1, 2).accept
+        bigger = run_protocol("hom-bound", key, 6, "honest", 1, 2, commit_size=11)
+        assert not any(r.verdict for r in bigger.rounds) and not bigger.accept
+        # the scheme name, not the key's class, picks the rules: "hom" takes any commit size
+        assert run_protocol("hom", key, 6, "honest", 1, 2, commit_size=11).accept
+
+    def test_key_files_carry_the_scheme_name(self):
+        key = self.key()
+        public = parse_public_key(format_public_key(key))
+        assert public == ("hom-bound", key.g1, key.g2)
+        assert auth._parse_key_pair(format_private_key(key), public) == key
+
+    def test_prove_and_verify_through_the_cli(self, capsys, tmp_path):
+        key = self.key()
+        public, private = tmp_path / "public_key.txt", tmp_path / "private_key.txt"
+        public.write_text(format_public_key(key))
+        private.write_text(format_private_key(key))
+        run_dir = tmp_path / "run"
+        assert main(["auth", "prove", "--public", str(public), "--private", str(private),
+                     "--rounds", "6", "--seed", "5", "--challenge-seed", "6",
+                     "--out-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        verify = ["auth", "verify", "--public", str(public), "--dir", str(run_dir), "--rounds", "6"]
+        assert main(verify) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "accept true"
+        # round 1 answered over a larger commitment: an honest "hom" round with the same
+        # challenge (the same verifier seed), which only the bound rule rejects
+        state = run_protocol("hom", key, 6, "honest", 5, 6, commit_size=11).rounds[0]
+        commitment_path, response_path = (run_dir / name.format(1) for name in ROUND_FILES)
+        commitment_path.write_text(format_graph(state.commitment))
+        response_path.write_text(format_map_lines(state.response.assignment,
+                                                  state.commitment.vertices))
+        assert main(verify) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"round 1 challenge {state.challenge} verdict reject\n")
+        assert out.count("verdict accept") == 5
+        public.write_text(format_public_key(hom_keygen(7, 7, 11)))  # the same key, scheme hom
+        assert main(verify) == 0

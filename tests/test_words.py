@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from raagcrypt import words as words_module
 from raagcrypt.words import (
     WordError,
     _token_letter,
@@ -149,3 +150,27 @@ class TestTokenCache:
         assert parse_word(text) == expected
         assert parse_word(text) == expected
         assert _token_letter.cache_info().currsize <= bound
+
+
+class TestCheckedLabels:
+    def test_more_labels_than_the_checked_set_holds(self):
+        # format_word remembers the labels that passed the label rule, and empties that set
+        # when a word brings a new label while it holds more than 4,096
+        checked = words_module._CHECKED
+        labels = [f"f{i}" for i in range(4200)]
+        w = tuple((v, (-1) ** i) for i, v in enumerate(labels))
+        assert parse_word(format_word(w)) == w
+        assert len(checked) >= 4200
+        bad = (("f0", 1), ("a b", -1))
+        with pytest.raises(WordError) as caught:
+            format_word(bad)  # emptied first, then the bad label refused: nothing added
+        with pytest.raises(WordError) as expected:
+            word(bad)
+        assert str(caught.value) == str(expected.value) and not checked
+        for i in range(0, 4200, 100):
+            chunk = w[i:i + 100]
+            assert parse_word(format_word(chunk)) == chunk
+        # the 42nd chunk found 4,100 labels held, so it emptied the set and holds alone
+        assert checked == set(labels[4100:])
+        with pytest.raises(WordError, match="forbidden character"):
+            format_word((("f4100", 1), ("f#", 1)))
