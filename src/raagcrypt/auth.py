@@ -11,9 +11,10 @@ Neither scheme holds every cheater to that: a complete bipartite "hom"
 commitment maps into any graph with an edge and answers both challenges
 without alpha, and the induced search recovers a "sub" alpha from the
 public key alone in milliseconds (see the README). Each key-pair class owns
-its scheme's round rules (``steps``: commit, respond, junk answer, verify);
-``run_protocol`` runs every prover strategy through them, and
-``raagcrypt auth verify`` re-checks recorded rounds.
+its scheme's planting (``keygen`` takes the named ``sizes`` in order, then a
+seed; their values are the CLI's defaults) and round rules (``steps``: commit,
+respond, junk answer, verify); ``run_protocol`` runs every prover strategy
+through them, and ``raagcrypt auth verify`` re-checks recorded rounds.
 
 Scheme "hom": public key is a pair of graphs g1, g2; alpha is a strict
 graph homomorphism g1 -> g2. Keys and commitments are planted: instances
@@ -98,84 +99,6 @@ COMMIT_KEEP_PROB = 1.0
 
 class AuthError(ValueError):
     """Raised for malformed keys, parameters, or protocol files."""
-
-
-class HomKeyPair(Record):
-    """Public graphs g1, g2 (g2 contains a triangle); alpha: g1 -> g2, a mapping or VertexMap."""
-
-    scheme, subset_fields = "hom", ()
-    __slots__ = ("g1", "g2", "alpha")
-
-    def __init__(self, g1: SimplicialGraph, g2: SimplicialGraph, alpha: VertexMap | Mapping):
-        self._set(g1, g2, alpha if isinstance(alpha, VertexMap) else VertexMap(g1, g2, alpha))
-        if self.alpha.source != self.g1 or self.alpha.target != self.g2:
-            raise AuthError("private map must go from g1 to g2")
-        if not verify_graph_homomorphism(self.alpha):
-            raise AuthError("private map is not a graph homomorphism")
-        if triangle_vertices(self.g2) is None:
-            raise AuthError("g2 must contain a triangle")
-
-    @staticmethod
-    def steps(g1: SimplicialGraph, g2: SimplicialGraph, commit_size: int | None = None):
-        """Round rules over the public fields: ``commit(bit, seed)`` (a commitment and the session
-        map that answers challenge ``bit``), ``respond(session, c, key)`` (the honest answer to
-        ``c``), ``junk(commitment, c, rng)`` (a random answer) and ``verify(commitment, c,
-        response)``. A commitment has ``commit_size`` vertices, g1's count plus 2 by default."""
-        targets = (g1, g2)
-        size = commit_size if commit_size is not None else len(g1.vertices) + 2
-
-        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, VertexMap]:
-            return hom_commit(targets[bit], size, seed)
-
-        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> VertexMap:
-            images = _random_images(targets[c], len(commitment.vertices), rng)
-            return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
-
-        return commit, hom_respond, junk, partial(hom_verify, g1, g2)
-
-
-class SubKeyPair(Record):
-    """Public ambient graph and subsets s1, s2; private induced bijection alpha."""
-
-    scheme, subset_fields = "sub", ("s1", "s2")
-    __slots__ = ("ambient", "s1", "s2", "alpha")
-
-    def __init__(self, ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
-                 alpha: dict[str, str]):
-        self._set(ambient, s1, s2, alpha)
-        if len(self.s1) != len(self.s2):
-            raise AuthError("subgroup generating sets must have equal size")
-        if not self.s1:
-            raise AuthError("subgroup generating sets must not be empty")
-        try:
-            ok = verify_induced_subgraph_isomorphism(self.ambient, self.s1, self.s2,
-                                                     self.alpha)
-        except GraphError as e:
-            raise AuthError(f"private bijection is malformed: {e}") from None
-        if not ok:
-            raise AuthError("private bijection does not preserve the induced structure")
-
-    @staticmethod
-    def steps(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
-              commit_size: int | None = None):
-        """``HomKeyPair.steps``'s rules; a commitment has s1's size, so a commit size is refused."""
-        if commit_size is not None:
-            raise AuthError("commit size applies to scheme 'hom' only")
-        subsets = (s1, s2)
-
-        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
-            return sub_commit(ambient, subsets[bit], seed)
-
-        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> dict[str, str]:
-            members = list(subsets[c].ordered())
-            _shuffle(members, rng)
-            return dict(zip(commitment.vertices, members))
-
-        return commit, sub_respond, junk, partial(sub_verify, ambient, s1, s2)
-
-
-# fields: the public key as parse_public_key gives it after the scheme name, then alpha
-KEY_PAIRS = {cls.scheme: cls for cls in (HomKeyPair, SubKeyPair)}
 
 
 class RoundState(Record):
@@ -412,6 +335,86 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
 
 # ---------------------------------------------------------------------------
 # protocol driver
+
+
+class HomKeyPair(Record):
+    """Public graphs g1, g2 (g2 contains a triangle); alpha: g1 -> g2, a mapping or VertexMap."""
+
+    scheme, subset_fields = "hom", ()
+    keygen, sizes = staticmethod(hom_keygen), {"g1_size": 8, "g2_size": 8}
+    __slots__ = ("g1", "g2", "alpha")
+
+    def __init__(self, g1: SimplicialGraph, g2: SimplicialGraph, alpha: VertexMap | Mapping):
+        self._set(g1, g2, alpha if isinstance(alpha, VertexMap) else VertexMap(g1, g2, alpha))
+        if self.alpha.source != self.g1 or self.alpha.target != self.g2:
+            raise AuthError("private map must go from g1 to g2")
+        if not verify_graph_homomorphism(self.alpha):
+            raise AuthError("private map is not a graph homomorphism")
+        if triangle_vertices(self.g2) is None:
+            raise AuthError("g2 must contain a triangle")
+
+    @staticmethod
+    def steps(g1: SimplicialGraph, g2: SimplicialGraph, commit_size: int | None = None):
+        """Round rules over the public fields: ``commit(bit, seed)`` (a commitment and the session
+        map that answers challenge ``bit``), ``respond(session, c, key)`` (the honest answer to
+        ``c``), ``junk(commitment, c, rng)`` (a random answer) and ``verify(commitment, c,
+        response)``. A commitment has ``commit_size`` vertices, g1's count plus 2 by default."""
+        targets = (g1, g2)
+        size = commit_size if commit_size is not None else len(g1.vertices) + 2
+
+        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, VertexMap]:
+            return hom_commit(targets[bit], size, seed)
+
+        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> VertexMap:
+            images = _random_images(targets[c], len(commitment.vertices), rng)
+            return VertexMap(commitment, targets[c], dict(zip(commitment.vertices, images)))
+
+        return commit, hom_respond, junk, partial(hom_verify, g1, g2)
+
+
+class SubKeyPair(Record):
+    """Public ambient graph and subsets s1, s2; private induced bijection alpha."""
+
+    scheme, subset_fields = "sub", ("s1", "s2")
+    keygen, sizes = staticmethod(sub_keygen), {"ambient_size": 16, "subgroup_size": 7}
+    __slots__ = ("ambient", "s1", "s2", "alpha")
+
+    def __init__(self, ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
+                 alpha: dict[str, str]):
+        self._set(ambient, s1, s2, alpha)
+        if len(self.s1) != len(self.s2):
+            raise AuthError("subgroup generating sets must have equal size")
+        if not self.s1:
+            raise AuthError("subgroup generating sets must not be empty")
+        try:
+            ok = verify_induced_subgraph_isomorphism(self.ambient, self.s1, self.s2,
+                                                     self.alpha)
+        except GraphError as e:
+            raise AuthError(f"private bijection is malformed: {e}") from None
+        if not ok:
+            raise AuthError("private bijection does not preserve the induced structure")
+
+    @staticmethod
+    def steps(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
+              commit_size: int | None = None):
+        """``HomKeyPair.steps``'s rules; a commitment has s1's size, so a commit size is refused."""
+        if commit_size is not None:
+            raise AuthError("commit size applies to scheme 'hom' only")
+        subsets = (s1, s2)
+
+        def commit(bit: int, seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
+            return sub_commit(ambient, subsets[bit], seed)
+
+        def junk(commitment: SimplicialGraph, c: int, rng: _random.Random) -> dict[str, str]:
+            members = list(subsets[c].ordered())
+            _shuffle(members, rng)
+            return dict(zip(commitment.vertices, members))
+
+        return commit, sub_respond, junk, partial(sub_verify, ambient, s1, s2)
+
+
+# fields: the public key as parse_public_key gives it after the scheme name, then alpha
+KEY_PAIRS = {cls.scheme: cls for cls in (HomKeyPair, SubKeyPair)}
 
 
 def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strategy: str,

@@ -226,10 +226,9 @@ def cmd_reconstruct_tn(args) -> int:
 # auth
 
 
-def _keygen(args, seed: int):
-    if args.scheme == "hom":
-        return auth.hom_keygen(args.g1_size, args.g2_size, seed)
-    return auth.sub_keygen(args.ambient_size, args.subgroup_size, seed)
+def _keygen(args, seed: int):  # a key of the named class, so its files carry that scheme name
+    cls = auth.KEY_PAIRS[args.scheme]
+    return cls(*cls.keygen(*(getattr(args, size) for size in cls.sizes), seed)._values())
 
 
 def cmd_auth_keygen(args) -> int:
@@ -397,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct_tn)
 
     p = sub.add_parser("auth", help="authentication schemes")
-    key_sizes = (("--g1-size", 8), ("--g2-size", 8), ("--ambient-size", 16), ("--subgroup-size", 7))
+    key_sizes = {size: n for cls in auth.KEY_PAIRS.values() for size, n in cls.sizes.items()}
     asub = p.add_subparsers(dest="auth_command", required=True)
     a = asub.add_parser("keygen", help="generate a planted key pair")
     a.add_argument("--scheme", choices=tuple(auth.KEY_PAIRS), required=True)
     a.add_argument("--seed", type=int, required=True)
     a.add_argument("--out-dir", required=True)
-    for flag, default in key_sizes:
-        a.add_argument(flag, type=int, default=default)
+    for size, default in key_sizes.items():
+        a.add_argument("--" + size.replace("_", "-"), type=int, default=default)
     a.set_defaults(func=cmd_auth_keygen)
     a = asub.add_parser("prove", help="run the honest prover, writing round files")
     a.add_argument("--public", required=True)
@@ -425,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--rounds", type=int, required=True)
     a.add_argument("--trials", type=int, required=True)
     a.add_argument("--seed", type=int, required=True)
-    for flag, default in key_sizes:
-        a.add_argument(flag, type=int, default=default)
+    for size, default in key_sizes.items():
+        a.add_argument("--" + size.replace("_", "-"), type=int, default=default)
     a.set_defaults(func=cmd_auth_simulate)
 
     p = sub.add_parser("bench", help="benchmarks")

@@ -252,6 +252,22 @@ class TestAdjacencyEstimate:
         assert misses == {1: 246, 8: 248, 15: 246}
         assert all(right == 256 for seed, (_, right) in found.items() if seed not in misses)
 
+    def test_adjacency_estimate_as_an_attack_record(self):
+        # one trial per seed: the estimate is exactly the holder's graph
+        secret = tuple(int(b) for b in f"{0x0123456789ABCDEF:064b}" * 4)
+        hits = []
+        for seed in range(1, 21):
+            setup = random_dealer_setup_nn(2, 256, 8, 0.5, seed)
+            share = deal_nn(setup, secret, 1000 + seed)[0]
+            guess = estimate_graph(setup.generators, share.words, len(share.graph.edge_list()))
+            hits.append(guess == share.graph)
+        record = AttackRecord("adjacency-estimate", (("n", 2), ("bits", 256), ("generators", 8)),
+                              len(hits), sum(hits))
+        assert record._values() == ("adjacency-estimate",
+                                    (("n", 2), ("bits", 256), ("generators", 8)), 20, 17)
+        assert [round(b, 6) for b in wilson95(record.successes, record.trials)] == [0.639581,
+                                                                                   0.947631]
+
 
 class TestTranscriptExtraction:
     """ROADMAP item 5, pinned: the paper rests ``hom`` on Graph Homomorphism and its rounds on

@@ -1,4 +1,5 @@
 import _random
+import argparse
 import hashlib
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import reference_random_images, reference_shuffle
 from raagcrypt import auth, graphs
+from raagcrypt.analyze import AttackRecord, wilson95
 from raagcrypt.auth import (
     STRATEGIES,
     AuthError,
@@ -28,7 +30,7 @@ from raagcrypt.auth import (
     sub_respond,
     sub_verify,
 )
-from raagcrypt.cli import ROUND_FILES, main
+from raagcrypt.cli import ROUND_FILES, build_parser, main
 from raagcrypt.graphs import (
     SearchBudgetExceeded,
     SimplicialGraph,
@@ -569,6 +571,23 @@ class TestBipartiteCheater:
                 accepted += hom_verify(key.g1, key.g2, commitment, c, response)
         assert accepted == 20
 
+    def test_bipartite_commitment_as_an_attack_record(self):
+        # one trial per key and challenge: K(5,5) answered with one edge of the target
+        left, right = [f"c{i}" for i in range(5)], [f"c{i}" for i in range(5, 10)]
+        commitment = SimplicialGraph(left + right, [(u, v) for u in left for v in right])
+        hits = []
+        for seed in range(1, 11):
+            key = hom_keygen(8, 8, seed)
+            for c, target in enumerate((key.g1, key.g2)):
+                a, b = target.edge_list()[0]
+                response = {**dict.fromkeys(left, a), **dict.fromkeys(right, b)}
+                hits.append(hom_verify(key.g1, key.g2, commitment, c, response))
+        record = AttackRecord("bipartite-commitment", (("n1", 8), ("n2", 8), ("commit_size", 10)),
+                              len(hits), sum(hits))
+        assert record._values() == ("bipartite-commitment",
+                                    (("n1", 8), ("n2", 8), ("commit_size", 10)), 20, 20)
+        assert [round(b, 6) for b in wilson95(record.successes, record.trials)] == [0.838875, 1.0]
+
 
 class TestKeyRecovery:
     """The searches recover every small planted key, and the result verifies."""
@@ -912,3 +931,40 @@ class TestSchemeRoute:
         assert out.count("verdict accept") == 5
         public.write_text(format_public_key(hom_keygen(7, 7, 11)))  # the same key, scheme hom
         assert main(verify) == 0
+
+    def test_keygen_and_simulate_plant_the_named_class(self, capsys, tmp_path):
+        assert main(["auth", "keygen", "--scheme", "hom-bound", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        public = (tmp_path / "public_key.txt").read_text()
+        assert public.splitlines()[0] == "scheme hom-bound"
+        key = auth._parse_key_pair((tmp_path / "private_key.txt").read_text(),
+                                   parse_public_key(public))
+        assert type(key) is BoundHomKeyPair
+        assert key._values() == hom_keygen(8, 8, 1)._values()
+        capsys.readouterr()
+        lines = []
+        for scheme in ("hom-bound", "hom"):
+            assert main(["auth", "simulate", "--scheme", scheme, "--strategy", "honest",
+                         "--rounds", "3", "--trials", "5", "--seed", "1"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert " accepted 5 " in lines[0] and lines[0] == lines[1]
+
+    @staticmethod
+    def options(command):
+        """(last option string, default) of each option of ``auth <command>``, help first."""
+        def choices(parser):
+            return next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+
+        parser = choices(choices(build_parser())["auth"])[command]
+        return [(action.option_strings[-1], action.default) for action in parser._actions]
+
+    def test_size_flags_come_from_the_classes(self, monkeypatch):
+        sizes = [("--g1-size", 8), ("--g2-size", 8), ("--ambient-size", 16), ("--subgroup-size", 7)]
+        keygen = [("--scheme", None), ("--seed", None), ("--out-dir", None), *sizes]
+        simulate = [("--scheme", None), ("--strategy", None), ("--rounds", None),
+                    ("--trials", None), ("--seed", None), *sizes]
+        assert [self.options("keygen")[1:], self.options("simulate")[1:]] == [keygen, simulate]
+        # hom-bound inherits hom's sizes, so registering it adds no flag and no argparse conflict
+        monkeypatch.delitem(auth.KEY_PAIRS, "hom-bound")
+        assert [self.options("keygen")[1:], self.options("simulate")[1:]] == [keygen, simulate]
