@@ -446,7 +446,6 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
     vrng = _random.Random(verifier_seed)
     honest, fixed_guess = strategy == "honest", STRATEGIES[strategy]
     states: list[RoundState] = []
-    accept = True
     for _ in range(rounds):
         guess = prng.getrandbits(1) if fixed_guess is None else fixed_guess
         commitment, session = commit(guess, prng.getrandbits(64))
@@ -459,11 +458,9 @@ def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strateg
             response = junk(commitment, challenge, prng)
         verdict = verify(commitment, challenge, response)
         states.append(RoundState(commitment, session, challenge, response, verdict))
-        if not verdict:
-            accept = False
-            if stop_on_reject:
-                break
-    return Transcript(scheme=scheme, rounds=tuple(states), accept=accept)
+        if not verdict and stop_on_reject:
+            break
+    return Transcript(scheme, tuple(states), all(state.verdict for state in states))
 
 
 def acceptance_rate(scheme: str, key, strategy: str, rounds: int, trials: int,

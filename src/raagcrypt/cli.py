@@ -139,8 +139,9 @@ def cmd_decode_share(args) -> int:
     graph = parse_graph(_read(args.graph))
     share = sharing.parse_share(_read(args.share), graph)
     if isinstance(share, sharing.ShareTN):
-        bits = sharing.int_to_bits(sharing.decode_share_tn(share)[1], len(share.words))
-        tail = f"p {share.p}\nt {share.t}\nvalue {sharing.bits_to_int(bits)}\n"
+        _, value = sharing.decode_share_tn(share)
+        bits = sharing.int_to_bits(value, len(share.words))
+        tail = f"p {share.p}\nt {share.t}\nvalue {value}\n"
     else:
         bits, tail = sharing.decode_share_nn(share), ""
     _emit(f"scheme {share.scheme}\nparticipant {share.participant}\n"
@@ -241,13 +242,9 @@ def cmd_auth_keygen(args) -> int:
     return EXIT_OK
 
 
-def _load_key(public_path: str, private_path: str):
-    public = auth.parse_public_key(_read(public_path))
-    return auth._parse_key_pair(_read(private_path), public)
-
-
 def cmd_auth_prove(args) -> int:
-    key = _load_key(args.public, args.private)
+    public = auth.parse_public_key(_read(args.public))  # read first: its errors come first
+    key = auth._parse_key_pair(_read(args.private), public)
     transcript = auth.run_protocol(key.scheme, key, args.rounds, "honest",
                                    prover_seed=args.seed,
                                    verifier_seed=args.challenge_seed)

@@ -4,11 +4,15 @@ Each attack is a plain function over the package's public API and the graphs' ma
 class names the claim that its attack refutes; a fix flips its test.
 """
 
+import random
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
 from raagcrypt.analyze import AttackRecord, wilson95
 from raagcrypt.auth import (
+    KEY_PAIRS,
     HomKeyPair,
     acceptance_rate,
     format_private_key,
@@ -26,9 +30,19 @@ from raagcrypt.graphs import (
     find_graph_homomorphism,
     find_induced_subgraph_isomorphism,
     verify_graph_homomorphism,
+    verify_induced_subgraph_isomorphism,
 )
 from raagcrypt.raag import Raag
-from raagcrypt.sharing import decode_column, decode_share_nn, deal_nn, random_dealer_setup_nn
+from raagcrypt.sharing import (
+    deal_nn,
+    deal_tn,
+    decode_column,
+    decode_share_nn,
+    format_share,
+    lagrange_reconstruct,
+    random_dealer_setup_nn,
+    random_participant_graphs,
+)
 
 
 def max_clique(masks) -> list[int]:
@@ -230,6 +244,27 @@ class TestLengthParity:
                                     (("n", 4), ("bits", 64), ("generators", 10)), 256, 256)
         assert [round(b, 6) for b in wilson95(record.successes, record.trials)] == [0.985216, 1.0]
 
+    def test_two_tn_share_files_give_the_secret(self):
+        # one trial per seed: two (2,4) share files, read with no graph, interpolated over the
+        # values that their words' lengths spell
+        hits = []
+        for seed in range(1, 21):
+            rng = random.Random(seed)
+            graphs = random_participant_graphs(4, 8, 0.5, rng.getrandbits(64))
+            secret = rng.randrange(101)
+            _, shares = deal_tn(graphs, secret, 101, 2, rng.getrandbits(64))
+            points = []
+            for text in map(format_share, shares[:2]):
+                lines = text.split("\n")  # scheme, participant, k, p and t, then one word a line
+                bits = "".join(str(1 - len(line.split()) % 2) for line in lines[5:-1])
+                points.append((int(lines[1].split()[1]), int(bits, 2)))
+            hits.append(lagrange_reconstruct(points, 101, 2) == secret)
+        record = AttackRecord("length-parity-tn", (("n", 4), ("t", 2), ("p", 101),
+                                                   ("generators", 8)), len(hits), sum(hits))
+        assert record._values() == ("length-parity-tn", (("n", 4), ("t", 2), ("p", 101),
+                                                         ("generators", 8)), 20, 20)
+        assert [round(b, 6) for b in wilson95(record.successes, record.trials)] == [0.838875, 1.0]
+
 
 class TestAdjacencyEstimate:
     """ROADMAP item 1, pinned: the paper rests share secrecy on "only the holder's graph
@@ -292,3 +327,117 @@ class TestTranscriptExtraction:
         assert record._values() == ("transcript-extraction",
                                     (("n1", 16), ("n2", 16), ("sessions", 2)), 5, 5)
         assert [round(b, 6) for b in wilson95(record.successes, record.trials)] == [0.565518, 1.0]
+
+
+def plant(cls, seed: int):
+    """A key of the class at its default sizes, as ``auth keygen`` plants it."""
+    return cls(*cls.keygen(*cls.sizes.values(), seed)._values())
+
+
+def substitute_sessions(cls) -> AttackRecord:
+    """Item 14 at the class's sizes: a key read off the public graphs (``substitute_key``)
+    passes a whole honest session of the class's rules, seeds 1-5."""
+    passed = []
+    for seed in range(1, 6):
+        key = plant(cls, seed)
+        _, phi = substitute_key(key)
+        passed.append(phi is not None and run_protocol(cls.scheme, cls(key.g1, key.g2, phi), 20,
+                                                       "honest", seed, seed).accept)
+    return AttackRecord("substitute-key", tuple(cls.sizes.items()) + (("rounds", 20),),
+                        len(passed), sum(passed))
+
+
+def transcript_extraction(cls) -> AttackRecord:
+    """Item 5 at the class's sizes: alpha itself read off at most two honest sessions of
+    ``hom``'s rules (``extract_key``), seeds 1-5."""
+    keys = [plant(cls, seed) for seed in range(1, 6)]
+    hits = [extract_key(key, 2)[1] == key.alpha.assignment for key in keys]
+    return AttackRecord("transcript-extraction", tuple(cls.sizes.items()) + (("sessions", 2),),
+                        len(hits), sum(hits))
+
+
+def bipartite_commitment(cls) -> AttackRecord:
+    """Item 11 under the class's own verifier: K(5,5) answered with one edge of the target,
+    one trial per key and challenge, seeds 1-10."""
+    left, right = [f"c{i}" for i in range(5)], [f"c{i}" for i in range(5, 10)]
+    commitment = SimplicialGraph(left + right, [(u, v) for u in left for v in right])
+    hits = []
+    for seed in range(1, 11):
+        key = plant(cls, seed)
+        verify = cls.steps(key.g1, key.g2)[3]
+        for c, target in enumerate((key.g1, key.g2)):
+            a, b = target.edge_list()[0]
+            response = {**dict.fromkeys(left, a), **dict.fromkeys(right, b)}
+            hits.append(verify(commitment, c, response))
+    return AttackRecord("bipartite-commitment", tuple(cls.sizes.items()) + (("commit_size", 10),),
+                        len(hits), sum(hits))
+
+
+def induced_search(cls, exact: bool) -> AttackRecord:
+    """Items 5 and 20 at the class's sizes: one induced search over the public key alone
+    gives a map that verifies, or with ``exact`` alpha itself, seeds 1-5."""
+    hits = []
+    for seed in range(1, 6):
+        key = plant(cls, seed)
+        f = find_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2)
+        hits.append(f == key.alpha if exact else
+                    verify_induced_subgraph_isomorphism(key.ambient, key.s1, key.s2, f))
+    return AttackRecord("induced-search-alpha" if exact else "induced-search",
+                        tuple(cls.sizes.items()), len(hits), sum(hits))
+
+
+# the attacks that apply to each scheme's key pairs, each counted into one AttackRecord
+ATTACKS = {
+    "hom": (substitute_sessions, transcript_extraction, bipartite_commitment),
+    "sub": (lambda cls: induced_search(cls, False), lambda cls: induced_search(cls, True)),
+}
+
+# (strategy, rounds, trials, acceptance_rate seed) of the battery's sessions, on one key
+SESSIONS = (("honest", 20, 20, 2700), ("cheat-guess-0", 1, 4000, 2701),
+            ("cheat-guess-1", 1, 4000, 2701), ("cheat-random", 6, 4000, 2702))
+
+# each registered scheme's battery, as AttackRecord._values(): SESSIONS' rows, then ATTACKS'
+HOM, SUB = (("g1_size", 8), ("g2_size", 8)), (("ambient_size", 16), ("subgroup_size", 7))
+CLAIMS = {
+    "hom": (("honest", HOM + (("rounds", 20),), 20, 20),
+            ("cheat-guess-0", HOM + (("rounds", 1),), 4000, 1990),
+            ("cheat-guess-1", HOM + (("rounds", 1),), 4000, 2017),
+            ("cheat-random", HOM + (("rounds", 6),), 4000, 59),
+            ("substitute-key", HOM + (("rounds", 20),), 5, 5),
+            ("transcript-extraction", HOM + (("sessions", 2),), 5, 4),
+            ("bipartite-commitment", HOM + (("commit_size", 10),), 20, 20)),
+    "sub": (("honest", SUB + (("rounds", 20),), 20, 20),
+            ("cheat-guess-0", SUB + (("rounds", 1),), 4000, 1988),
+            ("cheat-guess-1", SUB + (("rounds", 1),), 4000, 2017),
+            ("cheat-random", SUB + (("rounds", 6),), 4000, 59),
+            ("induced-search", SUB, 5, 5),
+            ("induced-search-alpha", SUB, 5, 2)),
+}
+
+
+class TestClaimsBattery:
+    """ROADMAP item 27: the paper's claims, checked once over every registered key pair at the
+    CLI's default sizes. The honest prover always passes; a one-round guess passes about
+    half the time; r rounds hold a random cheater to about 2^-r (Fiat and Shamir, CRYPTO '86);
+    and each attack that applies to the class is counted, so a fix flips its own row."""
+
+    @pytest.mark.parametrize("scheme", list(KEY_PAIRS))
+    def test_battery(self, scheme):
+        cls = KEY_PAIRS[scheme]
+        key = plant(cls, 27)
+        sizes = tuple(cls.sizes.items())
+        sessions = [AttackRecord(strategy, sizes + (("rounds", rounds),), trials,
+                                 round(acceptance_rate(scheme, key, strategy, rounds, trials,
+                                                       seed) * trials))
+                    for strategy, rounds, trials, seed in SESSIONS]
+        honest, *guesses, cheat = sessions
+        assert honest.successes == honest.trials
+        for guess in guesses:
+            assert 0.46 <= guess.successes / guess.trials <= 0.54, guess.line()
+        expected = cheat.trials * 2 ** -dict(cheat.parameters)["rounds"]  # 62.5
+        assert 0.2 * expected <= cheat.successes <= 5 * expected, cheat.line()
+        records = sessions + [attack(cls) for attack in ATTACKS.get(scheme, ())]
+        assert tuple(record._values() for record in records) == CLAIMS[scheme]
+
+    def test_every_key_pair_has_a_row(self):
+        assert CLAIMS.keys() == KEY_PAIRS.keys()
