@@ -607,16 +607,15 @@ def verify_induced_subgraph_isomorphism(g: SimplicialGraph, s1, s2,
     if images != m2 or len(images) != len(m1):
         raise GraphError("map is not a bijection onto the second subset")
     index, adj = g._index, g._masks
-    at = {index[u]: index[v] for u, v in f.items()}
-    bit_at = {1 << a: 1 << b for a, b in at.items()}  # each member's bit to its image's
+    bit_at = {1 << index[u]: 1 << index[v] for u, v in f.items()}  # each member's bit to its image's
     inside1, inside2 = sum(bit_at), sum(bit_at.values())
-    for a, b in at.items():
-        rest, pushed = adj[a] & inside1, 0
+    for a, b in bit_at.items():
+        rest, pushed = adj[a.bit_length() - 1] & inside1, 0
         while rest:
             low = rest & -rest
             pushed |= bit_at[low]
             rest ^= low
-        if pushed != adj[b] & inside2:
+        if pushed != adj[b.bit_length() - 1] & inside2:
             return False
     return True
 

@@ -292,6 +292,45 @@ class TestInducedIsomorphism:
             verdicts[pairwise] += 1
         assert min(verdicts.values()) > 100  # both verdicts are exercised
 
+    @pytest.mark.parametrize("n", [64, 257, 300])
+    def test_large_ambient_graphs_agree_with_pairwise_check(self, n):
+        # members among the top 24 indices, the last vertex always an image (bit 256 and up
+        # at 257 and 300 vertices): a map planted on disjoint subsets, the same map with one
+        # image pair flipped, and a random bijection between overlapping subsets
+        def pairwise(g, f):
+            return all(g.has_edge(u, v) == g.has_edge(f[u], f[v]) for u, v in combinations(f, 2))
+
+        def toggled(g, pairs):  # g with the edge state of each vertex pair swapped
+            masks = list(g.adjacency_masks())
+            for u, v in pairs:
+                i, j = g.index_of(u), g.index_of(v)
+                masks[i] ^= 1 << j
+                masks[j] ^= 1 << i
+            return SimplicialGraph._trusted(g.vertices, masks)
+
+        rng = random.Random(n)
+        verdicts = {True: 0, False: 0}
+        for _ in range(40):
+            g = random_graph(n, rng.random(), rng.getrandbits(32))
+            top, k = g.vertices[-24:], rng.randint(2, 12)
+            picked = rng.sample(top[:-1], 2 * k - 1) + [top[-1]]
+            s1, s2 = picked[:k], picked[k:]
+            f = dict(zip(s1, s2))
+            planted = toggled(g, [(f[u], f[v]) for u, v in combinations(s1, 2)
+                                  if g.has_edge(u, v) != g.has_edge(f[u], f[v])])
+            flipped = toggled(planted, [rng.sample(s2, 2)])
+            m = rng.randint(1, 5)
+            s3, s4 = rng.sample(top, m), rng.sample(top, m)
+            for graph, a, b, expected in [(planted, s1, s2, True), (flipped, s1, s2, False),
+                                          (g, s3, s4, None)]:
+                h = dict(zip(a, b))
+                verdict = verify_induced_subgraph_isomorphism(graph, a, b, h)
+                assert verdict == pairwise(graph, h) and expected in (None, verdict)
+                assert verify_induced_subgraph_isomorphism(graph, VertexSubset(graph, a),
+                                                           VertexSubset(graph, b), h) == verdict
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 40  # both verdicts are exercised
+
     def test_agrees_with_the_group_subgroup_check(self):
         # the problem that scheme "sub" poses, read in the group: a map f of generators
         # from s1 onto s2 extends to an isomorphism of the special subgroups they generate
