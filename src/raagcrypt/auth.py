@@ -11,10 +11,11 @@ Neither scheme holds every cheater to that: a complete bipartite "hom"
 commitment maps into any graph with an edge and answers both challenges
 without alpha, and the induced search recovers a "sub" alpha from the
 public key alone in milliseconds (see the README). Each key-pair class owns
-its scheme's planting (``keygen`` takes the named ``sizes`` in order, then a
-seed; their values are the CLI's defaults) and round rules (``steps``: commit,
-respond, junk answer, verify); ``run_protocol`` runs every prover strategy
-through them, and ``raagcrypt auth verify`` re-checks recorded rounds.
+its scheme's planting (``keygen``, a classmethod that plants a key of the class
+it is called on, takes the named ``sizes`` in order, then a seed; their values
+are the CLI's defaults) and round rules (``steps``: commit, respond, junk
+answer, verify); ``run_protocol`` runs every prover strategy through them, and
+``raagcrypt auth verify`` re-checks recorded rounds.
 
 Scheme "hom": public key is a pair of graphs g1, g2; alpha is a strict
 graph homomorphism g1 -> g2. Keys and commitments are planted: instances
@@ -170,33 +171,6 @@ def _pullback_graph(target: SimplicialGraph, images: list[str], prefix: str,
     return SimplicialGraph._trusted(vertices, masks), dict(zip(vertices, images))
 
 
-def hom_keygen(n1: int, n2: int, seed: int,
-               edge_prob: float = DEFAULT_EDGE_PROB,
-               keep_prob: float = KEYGEN_KEEP_PROB) -> HomKeyPair:
-    """Plant a homomorphism key pair.
-
-    g2 is a random graph on n2 >= 3 vertices with a forced triangle; g1
-    is pulled back through a random assignment, so alpha verifies by
-    construction.
-    """
-    if n2 < 3:
-        raise AuthError("the target graph needs at least 3 vertices to hold a triangle")
-    if n1 < 1:
-        raise AuthError("the source graph needs at least 1 vertex")
-    rng = random.Random(seed)
-    g2_vertices = tuple(f"b{i}" for i in range(n2))
-    masks = _keep_edges([(1 << n2) - 1] * n2, edge_prob, rng)
-    corners = rng.sample(range(n2), 3)
-    for a in corners:
-        masks[a] |= sum(1 << b for b in corners if b != a)
-    g2 = SimplicialGraph._trusted(g2_vertices, masks)
-    # an injective assignment (when it fits) keeps the pulled-back edge
-    # supply near g2's, so key quality does not collapse on unlucky seeds
-    images = rng.sample(g2_vertices, n1) if n1 <= n2 else _random_images(g2, n1, rng)
-    g1, alpha = _pullback_graph(g2, images, "a", rng, keep_prob)
-    return HomKeyPair(g1=g1, g2=g2, alpha=VertexMap(g1, g2, alpha))
-
-
 def hom_commit(target: SimplicialGraph, size: int,
                seed: int) -> tuple[SimplicialGraph, VertexMap]:
     """Fresh session graph G with a withheld homomorphism beta: G -> target.
@@ -256,43 +230,6 @@ def hom_verify(g1: SimplicialGraph, g2: SimplicialGraph,
     return verify_graph_homomorphism(response)
 
 
-def sub_keygen(ambient_size: int, subgroup_size: int, seed: int,
-               pattern_edge_prob: float = DEFAULT_EDGE_PROB,
-               ambient_edge_prob: float = DEFAULT_EDGE_PROB) -> SubKeyPair:
-    """Plant two disjoint induced copies of one random pattern.
-
-    Edges inside each planted subset copy the pattern exactly; every
-    other vertex pair (subset to rest, between the two subsets, rest to
-    rest) is drawn independently, which cannot disturb either induced
-    subgraph. The pairing of the two copies is the private key.
-    """
-    m = subgroup_size
-    if m < 1:
-        raise AuthError("subgroup size must be at least 1")
-    if ambient_size < 2 * m:
-        raise AuthError("ambient graph needs at least twice the subgroup size")
-    rng = random.Random(seed)
-    vertices = tuple(f"v{i}" for i in range(ambient_size))
-    planted = rng.sample(range(ambient_size), 2 * m)
-    s1_ids, s2_ids = planted[:m], planted[m:]
-    pattern = _keep_edges([(1 << m) - 1] * m, pattern_edge_prob, rng)
-    candidates = [(1 << ambient_size) - 1] * ambient_size
-    copies = [0] * ambient_size  # the pattern's edges inside each planted subset
-    for ids in (s1_ids, s2_ids):
-        for i, a in enumerate(ids):
-            candidates[a] &= ~sum(1 << b for b in ids)
-            copies[a] = sum(1 << ids[j] for j in range(m) if pattern[i] >> j & 1)
-    drawn = _keep_edges(candidates, ambient_edge_prob, rng)
-    ambient = SimplicialGraph._trusted(vertices, [d | c for d, c in zip(drawn, copies)])
-    alpha = {vertices[s1_ids[i]]: vertices[s2_ids[i]] for i in range(m)}
-    return SubKeyPair(
-        ambient=ambient,
-        s1=VertexSubset(ambient, (vertices[i] for i in s1_ids)),
-        s2=VertexSubset(ambient, (vertices[i] for i in s2_ids)),
-        alpha=alpha,
-    )
-
-
 def sub_commit(ambient: SimplicialGraph, subset: VertexSubset,
                seed: int) -> tuple[SimplicialGraph, dict[str, str]]:
     """Fresh relabeling G of the induced subgraph on any subset (s1 for an honest
@@ -340,8 +277,7 @@ def sub_verify(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
 class HomKeyPair(Record):
     """Public graphs g1, g2 (g2 contains a triangle); alpha: g1 -> g2, a mapping or VertexMap."""
 
-    scheme, subset_fields = "hom", ()
-    keygen, sizes = staticmethod(hom_keygen), {"g1_size": 8, "g2_size": 8}
+    scheme, subset_fields, sizes = "hom", (), {"g1_size": 8, "g2_size": 8}
     __slots__ = ("g1", "g2", "alpha")
 
     def __init__(self, g1: SimplicialGraph, g2: SimplicialGraph, alpha: VertexMap | Mapping):
@@ -352,6 +288,33 @@ class HomKeyPair(Record):
             raise AuthError("private map is not a graph homomorphism")
         if triangle_vertices(self.g2) is None:
             raise AuthError("g2 must contain a triangle")
+
+    @classmethod
+    def keygen(cls, n1: int, n2: int, seed: int,
+               edge_prob: float = DEFAULT_EDGE_PROB,
+               keep_prob: float = KEYGEN_KEEP_PROB) -> HomKeyPair:
+        """Plant a homomorphism key pair of this class.
+
+        g2 is a random graph on n2 >= 3 vertices with a forced triangle; g1
+        is pulled back through a random assignment, so alpha verifies by
+        construction.
+        """
+        if n2 < 3:
+            raise AuthError("the target graph needs at least 3 vertices to hold a triangle")
+        if n1 < 1:
+            raise AuthError("the source graph needs at least 1 vertex")
+        rng = random.Random(seed)
+        g2_vertices = tuple(f"b{i}" for i in range(n2))
+        masks = _keep_edges([(1 << n2) - 1] * n2, edge_prob, rng)
+        corners = rng.sample(range(n2), 3)
+        for a in corners:
+            masks[a] |= sum(1 << b for b in corners if b != a)
+        g2 = SimplicialGraph._trusted(g2_vertices, masks)
+        # an injective assignment (when it fits) keeps the pulled-back edge
+        # supply near g2's, so key quality does not collapse on unlucky seeds
+        images = rng.sample(g2_vertices, n1) if n1 <= n2 else _random_images(g2, n1, rng)
+        g1, alpha = _pullback_graph(g2, images, "a", rng, keep_prob)
+        return cls(g1, g2, VertexMap(g1, g2, alpha))
 
     @staticmethod
     def steps(g1: SimplicialGraph, g2: SimplicialGraph, commit_size: int | None = None):
@@ -375,8 +338,7 @@ class HomKeyPair(Record):
 class SubKeyPair(Record):
     """Public ambient graph and subsets s1, s2; private induced bijection alpha."""
 
-    scheme, subset_fields = "sub", ("s1", "s2")
-    keygen, sizes = staticmethod(sub_keygen), {"ambient_size": 16, "subgroup_size": 7}
+    scheme, subset_fields, sizes = "sub", ("s1", "s2"), {"ambient_size": 16, "subgroup_size": 7}
     __slots__ = ("ambient", "s1", "s2", "alpha")
 
     def __init__(self, ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
@@ -393,6 +355,39 @@ class SubKeyPair(Record):
             raise AuthError(f"private bijection is malformed: {e}") from None
         if not ok:
             raise AuthError("private bijection does not preserve the induced structure")
+
+    @classmethod
+    def keygen(cls, ambient_size: int, subgroup_size: int, seed: int,
+               pattern_edge_prob: float = DEFAULT_EDGE_PROB,
+               ambient_edge_prob: float = DEFAULT_EDGE_PROB) -> SubKeyPair:
+        """Plant two disjoint induced copies of one random pattern, as a key pair of this class.
+
+        Edges inside each planted subset copy the pattern exactly; every
+        other vertex pair (subset to rest, between the two subsets, rest to
+        rest) is drawn independently, which cannot disturb either induced
+        subgraph. The pairing of the two copies is the private key.
+        """
+        m = subgroup_size
+        if m < 1:
+            raise AuthError("subgroup size must be at least 1")
+        if ambient_size < 2 * m:
+            raise AuthError("ambient graph needs at least twice the subgroup size")
+        rng = random.Random(seed)
+        vertices = tuple(f"v{i}" for i in range(ambient_size))
+        planted = rng.sample(range(ambient_size), 2 * m)
+        s1_ids, s2_ids = planted[:m], planted[m:]
+        pattern = _keep_edges([(1 << m) - 1] * m, pattern_edge_prob, rng)
+        candidates = [(1 << ambient_size) - 1] * ambient_size
+        copies = [0] * ambient_size  # the pattern's edges inside each planted subset
+        for ids in (s1_ids, s2_ids):
+            for i, a in enumerate(ids):
+                candidates[a] &= ~sum(1 << b for b in ids)
+                copies[a] = sum(1 << ids[j] for j in range(m) if pattern[i] >> j & 1)
+        drawn = _keep_edges(candidates, ambient_edge_prob, rng)
+        ambient = SimplicialGraph._trusted(vertices, [d | c for d, c in zip(drawn, copies)])
+        alpha = {vertices[s1_ids[i]]: vertices[s2_ids[i]] for i in range(m)}
+        return cls(ambient, VertexSubset(ambient, (vertices[i] for i in s1_ids)),
+                   VertexSubset(ambient, (vertices[i] for i in s2_ids)), alpha)
 
     @staticmethod
     def steps(ambient: SimplicialGraph, s1: VertexSubset, s2: VertexSubset,
@@ -415,6 +410,7 @@ class SubKeyPair(Record):
 
 # fields: the public key as parse_public_key gives it after the scheme name, then alpha
 KEY_PAIRS = {cls.scheme: cls for cls in (HomKeyPair, SubKeyPair)}
+hom_keygen, sub_keygen = HomKeyPair.keygen, SubKeyPair.keygen
 
 
 def run_protocol(scheme: str, key: HomKeyPair | SubKeyPair, rounds: int, strategy: str,

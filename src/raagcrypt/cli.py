@@ -227,9 +227,20 @@ def cmd_reconstruct_tn(args) -> int:
 # auth
 
 
+class _SizeFlag(argparse.Action):
+    """A key size flag, kept in ``sizes`` when given: ``_keygen`` takes the rest from the class."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.sizes = {**namespace.sizes, self.dest: value}
+
+
 def _keygen(args, seed: int):  # a key of the named class, so its files carry that scheme name
     cls = auth.KEY_PAIRS[args.scheme]
-    return cls(*cls.keygen(*(getattr(args, size) for size in cls.sizes), seed)._values())
+    for size in args.sizes:  # in the order given
+        if size not in cls.sizes:
+            raise auth.AuthError(f"--{size.replace('_', '-')} is not a size of scheme "
+                                 f"{cls.scheme!r}")
+    return cls.keygen(*{**cls.sizes, **args.sizes}.values(), seed)
 
 
 def cmd_auth_keygen(args) -> int:
@@ -393,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct_tn)
 
     p = sub.add_parser("auth", help="authentication schemes")
+    # one flag per size name; a key takes each size it is not given from its own class
     key_sizes = {size: n for cls in auth.KEY_PAIRS.values() for size, n in cls.sizes.items()}
     asub = p.add_subparsers(dest="auth_command", required=True)
     a = asub.add_parser("keygen", help="generate a planted key pair")
@@ -400,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seed", type=int, required=True)
     a.add_argument("--out-dir", required=True)
     for size, default in key_sizes.items():
-        a.add_argument("--" + size.replace("_", "-"), type=int, default=default)
-    a.set_defaults(func=cmd_auth_keygen)
+        a.add_argument("--" + size.replace("_", "-"), type=int, default=default, action=_SizeFlag)
+    a.set_defaults(func=cmd_auth_keygen, sizes={})
     a = asub.add_parser("prove", help="run the honest prover, writing round files")
     a.add_argument("--public", required=True)
     a.add_argument("--private", required=True)
@@ -422,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--trials", type=int, required=True)
     a.add_argument("--seed", type=int, required=True)
     for size, default in key_sizes.items():
-        a.add_argument("--" + size.replace("_", "-"), type=int, default=default)
-    a.set_defaults(func=cmd_auth_simulate)
+        a.add_argument("--" + size.replace("_", "-"), type=int, default=default, action=_SizeFlag)
+    a.set_defaults(func=cmd_auth_simulate, sizes={})
 
     p = sub.add_parser("bench", help="benchmarks")
     bsub = p.add_subparsers(dest="bench_command", required=True)

@@ -27,7 +27,7 @@ results are deterministic.
 
 from __future__ import annotations
 
-import random
+import _random
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -345,7 +345,7 @@ class SimplicialGraph:
         return f"SimplicialGraph({len(self.vertices)} vertices, {len(self._pairs)} edges)"
 
 
-def _keep_edges(candidates: Sequence[int], p: float, rng: random.Random) -> list[int]:
+def _keep_edges(candidates: Sequence[int], p: float, rng: _random.Random) -> list[int]:
     """Masks keeping each candidate edge ``{i, j}``, ``i < j`` (bit ``j`` of ``candidates[i]``),
     with probability ``p`` in [0, 1] (the one check of an edge probability, else ValueError):
     one ``rng.random()`` per candidate, in row-major order."""
@@ -665,7 +665,7 @@ def random_graph(n: int, p: float, seed: int) -> SimplicialGraph:
     """Erdos-Renyi style graph on vertices v0..v(n-1), deterministic in seed."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    masks = _keep_edges([(1 << n) - 1] * n, p, random.Random(seed))
+    masks = _keep_edges([(1 << n) - 1] * n, p, _random.Random(seed))
     return SimplicialGraph._trusted((f"v{i}" for i in range(n)), masks)
 
 

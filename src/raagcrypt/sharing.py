@@ -86,7 +86,7 @@ def split_bits_nn(c: BitColumn, n: int, seed: int) -> list[BitColumn]:
     c = bit_column(c)
     if n < 2:
         raise SharingError("need at least 2 participants")
-    rng = random.Random(seed)
+    rng = _random.Random(seed)
     columns = [tuple(rng.getrandbits(1) for _ in c) for _ in range(n - 1)]
     return columns + [reconstruct_nn([c, *columns])]
 

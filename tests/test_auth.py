@@ -877,6 +877,12 @@ class BoundHomKeyPair(HomKeyPair):
             len(G.vertices) == size and verify(G, c, response))
 
 
+class WideHomKeyPair(HomKeyPair):
+    """The pinned ``hom`` key pair under another scheme name, with larger default sizes."""
+
+    scheme, sizes = "hom-wide", {"g1_size": 12, "g2_size": 12}
+
+
 class TestSchemeRoute:
     """A construction lands as a key-pair class under its own scheme name: the scheme line of
     the public key names it, and the driver, the key files and ``auth prove``/``auth verify``
@@ -948,6 +954,55 @@ class TestSchemeRoute:
                          "--rounds", "3", "--trials", "5", "--seed", "1"]) == 0
             lines.append(capsys.readouterr().out)
         assert " accepted 5 " in lines[0] and lines[0] == lines[1]
+
+    def test_keygen_plants_the_class_it_is_called_on(self):
+        key = BoundHomKeyPair.keygen(7, 7, 11)
+        assert type(key) is BoundHomKeyPair
+        assert key._values() == hom_keygen(7, 7, 11)._values()
+
+    @pytest.mark.parametrize("scheme", ["hom", "sub", "hom-bound"])
+    def test_keygen_and_simulate_build_each_key_once(self, scheme, monkeypatch, capsys, tmp_path):
+        built = []
+        for cls in (HomKeyPair, SubKeyPair):
+            def counted(key, *args, init=cls.__init__, **kwargs):
+                built.append(type(key))
+                init(key, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert main(["auth", "keygen", "--scheme", scheme, "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert main(["auth", "simulate", "--scheme", scheme, "--strategy", "honest",
+                     "--rounds", "1", "--trials", "1", "--seed", "1"]) == 0
+        assert built == [auth.KEY_PAIRS[scheme]] * 2
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--g1-size", ["keygen", "--scheme", "sub", "--g1-size", "3", "--seed", "1",
+                       "--out-dir", "key"]),
+        ("--subgroup-size", ["keygen", "--scheme", "hom-bound", "--g2-size", "9",
+                             "--subgroup-size", "3", "--seed", "1", "--out-dir", "key"]),
+        ("--ambient-size", ["simulate", "--scheme", "hom", "--ambient-size", "3",
+                            "--strategy", "honest", "--rounds", "1", "--trials", "1",
+                            "--seed", "1"]),
+    ])
+    def test_a_size_flag_of_another_scheme_exits_2(self, flag, argv, capsys, monkeypatch,
+                                                   tmp_path):
+        monkeypatch.chdir(tmp_path)
+        scheme = argv[argv.index("--scheme") + 1]
+        assert main(["auth", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} is not a size of scheme '{scheme}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_scheme_fills_unflagged_sizes_from_its_own_class(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(auth.KEY_PAIRS, WideHomKeyPair.scheme, WideHomKeyPair)
+        for i, (scheme, flags, sizes) in enumerate([
+                ("hom", [], (8, 8)), ("hom-bound", [], (8, 8)), ("sub", [], (16, 7)),
+                ("hom-wide", [], (12, 12)), ("hom-wide", ["--g1-size", "5"], (5, 12)),
+                ("hom", ["--g2-size", "9"], (8, 9))]):
+            out = tmp_path / str(i)
+            assert main(["auth", "keygen", "--scheme", scheme, *flags, "--seed", "1",
+                         "--out-dir", str(out)]) == 0
+            public = parse_public_key((out / "public_key.txt").read_text())
+            key = auth._parse_key_pair((out / "private_key.txt").read_text(), public)
+            assert key == auth.KEY_PAIRS[scheme].keygen(*sizes, 1)
 
     @staticmethod
     def options(command):
