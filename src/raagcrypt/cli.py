@@ -278,8 +278,7 @@ def cmd_auth_verify(args) -> int:
     if len(rounds) != args.rounds:
         # the soundness error 2^-r is the verifier's to fix, not the transcript's
         print(f"reject: transcript has {len(rounds)} rounds, verifier requires {args.rounds}")
-        sys.stdout.write(auth.format_transcript(auth.Transcript(public[0], (), False)))
-        return EXIT_NEGATIVE
+        rounds = ()  # no round is read or judged, and no verdict accepts
     *_, verify = auth.KEY_PAIRS[public[0]].steps(*public[1:])
     # every round file is read before the first verdict, so a missing one prints nothing
     messages = [[_read(Path(args.dir) / name.format(i)) for name in ROUND_FILES]
@@ -291,7 +290,7 @@ def cmd_auth_verify(args) -> int:
         except GraphError:
             verdict = False  # both are the prover's messages: malformed is a rejection
         states.append(auth.RoundState(None, None, challenge, None, verdict))
-    accept = all(state.verdict for state in states)
+    accept = bool(states) and all(state.verdict for state in states)
     sys.stdout.write(auth.format_transcript(auth.Transcript(public[0], tuple(states), accept)))
     return EXIT_OK if accept else EXIT_NEGATIVE
 

@@ -362,13 +362,13 @@ def _keep_edges(candidates: Sequence[int], p: float, rng: _random.Random) -> lis
 
 
 class Record:
-    """A frozen record declared by its ``__slots__``: built from its fields by position, then by
+    """A frozen record whose fields are its public ``__slots__``: built by position, then by
     keyword, each once; eq, hash, repr and copy follow them. A validating record calls ``_set``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
@@ -411,14 +411,11 @@ class Record:
 class VertexSubset(Record):
     """A subset of the vertices of a fixed parent graph."""
 
-    __slots__ = ("parent", "members", "__dict__")  # the dict holds the cached ``ordered()``
+    __slots__ = ("parent", "members", "_ordered")  # _ordered is ``ordered()``, not a field
 
     def __init__(self, parent: SimplicialGraph, members: Iterable[str]):
         self._set(parent, _subset_members(parent, members))
-
-    @cached_property
-    def _ordered(self) -> tuple[str, ...]:
-        return tuple(v for v in self.parent.vertices if v in self.members)
+        object.__setattr__(self, "_ordered", tuple(v for v in parent.vertices if v in self.members))
 
     def ordered(self) -> tuple[str, ...]:
         """Members in the parent graph's declaration order, computed once per subset."""

@@ -331,7 +331,7 @@ class TestTranscriptExtraction:
 
 def plant(cls, seed: int):
     """A key of the class at its default sizes, as ``auth keygen`` plants it."""
-    return cls(*cls.keygen(*cls.sizes.values(), seed)._values())
+    return cls.keygen(*cls.sizes.values(), seed)
 
 
 def substitute_sessions(cls) -> AttackRecord:

@@ -202,17 +202,6 @@ class TestSharingCommands:
         assert agree < 100  # 120 of 120 when the streams coincide
 
     @pytest.mark.parametrize("argv, message", [
-        (["deal-nn", "--secret", "101", "--participants", "1", "--generators", "3"],
-         "need at least 2 participants"),
-        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
-          "--participants", "3", "--generators", "0"], "need at least one public generator"),
-    ])
-    def test_deal_input_errors_exit_2(self, capsys, tmp_path, argv, message):
-        code, out, err = run(capsys, *argv, "--seed", "1", "--out-dir", str(tmp_path / "x"))
-        assert code == 2 and out == "" and message in err
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("argv, message", [
         (["deal-nn", "--secret", "101", "--participants", "0", "--generators", "3"],
          "need at least 2 participants"),
         (["deal-nn", "--secret", "101", "--participants", "1", "--generators", "3"],
@@ -221,6 +210,19 @@ class TestSharingCommands:
           "--participants", "1", "--generators", "3"], "threshold must not exceed n"),
         (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
           "--participants", "3", "--generators", "0"], "need at least one public generator"),
+        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+          "--participants", "3", "--generators", "3", "--bits", "3"],
+         "k=3 too small: need 2^k >= p"),
+        (["deal-nn", "--secret", "101", "--participants", "2", "--generators", "3",
+          "--edge-prob", "1.5"], "edge probability must lie in [0, 1]"),
+        (["deal-nn", "--secret", "101", "--participants", "2", "--generators", "3",
+          "--edge-prob", "-0.1"], "edge probability must lie in [0, 1]"),
+        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+          "--participants", "3", "--generators", "3", "--edge-prob", "1.5"],
+         "edge probability must lie in [0, 1]"),
+        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+          "--participants", "3", "--generators", "3", "--edge-prob", "-0.1"],
+         "edge probability must lie in [0, 1]"),
     ])
     def test_dealer_sizes_exit_2_with_the_dealer_message(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, *argv, "--seed", "1", "--out-dir", str(tmp_path / "x"))
@@ -253,6 +255,46 @@ class TestSharingCommands:
             decoded.append(str(out))
         code, out, _ = run(capsys, "reconstruct-tn", *decoded, "--expect", "5")
         assert code == 0 and out.strip() == "5"
+
+    def test_tn_bits_sets_the_column_length(self, capsys, tmp_path):
+        d = tmp_path / "tn"
+        assert run(capsys, "deal-tn", "--secret", "5", "--prime", "11", "--threshold", "2",
+                   "--participants", "3", "--generators", "3", "--bits", "8", "--seed", "1",
+                   "--out-dir", str(d))[0] == 0
+        decoded = []
+        for j in (1, 3):
+            lines = (d / f"share_p{j}.txt").read_text().splitlines()
+            assert lines[:5] == ["scheme tn", f"participant {j}", "k 8", "p 11", "t 2"]
+            assert len(lines) == 5 + 8  # one word line per bit
+            out = d / f"dec{j}.txt"
+            assert run(capsys, "decode-share", "--share", str(d / f"share_p{j}.txt"),
+                       "--graph", str(d / f"secret_graph_p{j}.txt"), "--out", str(out))[0] == 0
+            assert re.search(r"^bits [01]{8}$", out.read_text(), re.M)
+            decoded.append(str(out))
+        code, out, _ = run(capsys, "reconstruct-tn", *decoded, "--expect", "5")
+        assert code == 0 and out == "5\n"
+
+    @pytest.mark.parametrize("edge_prob, edges", [("0", 0), ("1", 4 * 3 // 2)])
+    @pytest.mark.parametrize("dealer, reconstruct, secret", [
+        (["deal-nn", "--secret", "10110"], "reconstruct-nn", "10110"),
+        (["deal-tn", "--secret", "5", "--prime", "11", "--threshold", "3"], "reconstruct-tn", "5"),
+    ])
+    def test_edge_prob_sets_the_participant_graphs(self, capsys, tmp_path, edge_prob, edges,
+                                                   dealer, reconstruct, secret):
+        # 0 deals edgeless participant graphs, 1 complete ones; both still reconstruct
+        d = tmp_path / "shares"
+        assert run(capsys, *dealer, "--participants", "3", "--generators", "4",
+                   "--edge-prob", edge_prob, "--seed", "6", "--out-dir", str(d))[0] == 0
+        decoded = []
+        for j in (1, 2, 3):
+            graph = parse_graph((d / f"secret_graph_p{j}.txt").read_text())
+            assert len(graph.vertices) == 4 and len(graph.edges) == edges
+            out = d / f"dec{j}.txt"
+            assert run(capsys, "decode-share", "--share", str(d / f"share_p{j}.txt"),
+                       "--graph", str(d / f"secret_graph_p{j}.txt"), "--out", str(out))[0] == 0
+            decoded.append(str(out))
+        code, out, _ = run(capsys, reconstruct, *decoded, "--expect", secret)
+        assert code == 0 and out == f"{secret}\n"
 
     def test_tn_decoded_file_without_participant(self, capsys, tmp_path):
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
@@ -647,6 +689,22 @@ class TestAuthCommands:
         assert code == 1
         assert "transcript has 1 rounds, verifier requires 4" in out
         assert "accept true" not in out
+
+    def test_wrong_round_count_reads_no_round_file(self, capsys, tmp_path):
+        key_dir, run_dir = tmp_path / "key", tmp_path / "run"
+        public = str(key_dir / "public_key.txt")
+        run(capsys, "auth", "keygen", "--scheme", "hom", "--seed", "5",
+            "--out-dir", str(key_dir))
+        run(capsys, "auth", "prove", "--public", public,
+            "--private", str(key_dir / "private_key.txt"), "--rounds", "4",
+            "--seed", "11", "--challenge-seed", "22", "--out-dir", str(run_dir))
+        for i in (1, 2, 3, 4):
+            for name in ROUND_FILES:
+                (run_dir / name.format(i)).unlink()
+        code, out, err = run(capsys, "auth", "verify", "--public", public, "--dir", str(run_dir),
+                             "--rounds", "3")
+        assert (code, out, err) == (
+            1, "reject: transcript has 4 rounds, verifier requires 3\naccept false\n", "")
 
     def test_verify_requires_the_round_count(self, capsys, tmp_path):
         # without it the transcript's own round count set the soundness error 2^-r

@@ -155,6 +155,13 @@ def test_copy_and_pickle_keep_the_fields(cls, fields, args, frozen):
         assert type(clone) is cls and clone == record
 
 
+@pytest.mark.parametrize("cls, fields, args, frozen", RECORDS, ids=IDS)
+def test_records_hold_only_their_fields(cls, fields, args, frozen):
+    # no per-instance dict; a slot with a leading underscore holds derived state, not a field
+    assert not hasattr(cls(*args), "__dict__")
+    assert cls._fields == fields == tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+
 def test_raag_generators_are_the_graph_vertices():
     assert Raag(G).generators == G.vertices
 
