@@ -227,20 +227,14 @@ def cmd_reconstruct_tn(args) -> int:
 # auth
 
 
-class _SizeFlag(argparse.Action):
-    """A key size flag, kept in ``sizes`` when given: ``_keygen`` takes the rest from the class."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        namespace.sizes = {**namespace.sizes, self.dest: value}
-
-
 def _keygen(args, seed: int):  # a key of the named class, so its files carry that scheme name
     cls = auth.KEY_PAIRS[args.scheme]
-    for size in args.sizes:  # in the order given
+    given = {size: n for size in args.size_flags if (n := getattr(args, size)) is not None}
+    for size in given:  # in flag order
         if size not in cls.sizes:
             raise auth.AuthError(f"--{size.replace('_', '-')} is not a size of scheme "
                                  f"{cls.scheme!r}")
-    return cls.keygen(*{**cls.sizes, **args.sizes}.values(), seed)
+    return cls.keygen(*{**cls.sizes, **given}.values(), seed)
 
 
 def cmd_auth_keygen(args) -> int:
@@ -403,16 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct_tn)
 
     p = sub.add_parser("auth", help="authentication schemes")
-    # one flag per size name; a key takes each size it is not given from its own class
-    key_sizes = {size: n for cls in auth.KEY_PAIRS.values() for size, n in cls.sizes.items()}
+    # one flag per size name, with no default: a key takes each size it is not given from its class
+    key_sizes = tuple(dict.fromkeys(size for cls in auth.KEY_PAIRS.values() for size in cls.sizes))
     asub = p.add_subparsers(dest="auth_command", required=True)
     a = asub.add_parser("keygen", help="generate a planted key pair")
     a.add_argument("--scheme", choices=tuple(auth.KEY_PAIRS), required=True)
     a.add_argument("--seed", type=int, required=True)
     a.add_argument("--out-dir", required=True)
-    for size, default in key_sizes.items():
-        a.add_argument("--" + size.replace("_", "-"), type=int, default=default, action=_SizeFlag)
-    a.set_defaults(func=cmd_auth_keygen, sizes={})
+    for size in key_sizes:
+        a.add_argument("--" + size.replace("_", "-"), type=int)
+    a.set_defaults(func=cmd_auth_keygen, size_flags=key_sizes)
     a = asub.add_parser("prove", help="run the honest prover, writing round files")
     a.add_argument("--public", required=True)
     a.add_argument("--private", required=True)
@@ -432,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--rounds", type=int, required=True)
     a.add_argument("--trials", type=int, required=True)
     a.add_argument("--seed", type=int, required=True)
-    for size, default in key_sizes.items():
-        a.add_argument("--" + size.replace("_", "-"), type=int, default=default, action=_SizeFlag)
-    a.set_defaults(func=cmd_auth_simulate, sizes={})
+    for size in key_sizes:
+        a.add_argument("--" + size.replace("_", "-"), type=int)
+    a.set_defaults(func=cmd_auth_simulate, size_flags=key_sizes)
 
     p = sub.add_parser("bench", help="benchmarks")
     bsub = p.add_subparsers(dest="bench_command", required=True)

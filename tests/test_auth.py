@@ -982,6 +982,12 @@ class TestSchemeRoute:
         ("--ambient-size", ["simulate", "--scheme", "hom", "--ambient-size", "3",
                             "--strategy", "honest", "--rounds", "1", "--trials", "1",
                             "--seed", "1"]),
+        # hom's default value, so a given flag is never told from a defaulted one by its value
+        ("--g1-size", ["keygen", "--scheme", "sub", "--g1-size", "8", "--seed", "1",
+                       "--out-dir", "key"]),
+        # several foreign flags: the first in flag order is named, not the first typed
+        ("--ambient-size", ["keygen", "--scheme", "hom", "--subgroup-size", "3",
+                            "--ambient-size", "5", "--seed", "1", "--out-dir", "key"]),
     ])
     def test_a_size_flag_of_another_scheme_exits_2(self, flag, argv, capsys, monkeypatch,
                                                    tmp_path):
@@ -989,6 +995,21 @@ class TestSchemeRoute:
         scheme = argv[argv.index("--scheme") + 1]
         assert main(["auth", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {flag} is not a size of scheme '{scheme}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message, argv", [
+        ("the source graph needs at least 1 vertex",
+         ["keygen", "--scheme", "hom", "--g1-size", "0", "--seed", "1", "--out-dir", "key"]),
+        ("subgroup size must be at least 1",
+         ["simulate", "--scheme", "sub", "--subgroup-size", "0", "--strategy", "honest",
+          "--rounds", "1", "--trials", "1", "--seed", "1"]),
+    ])
+    def test_a_size_of_0_reaches_the_class_refusal(self, message, argv, capsys, monkeypatch,
+                                                  tmp_path):
+        # a flagged 0 is a given size, not an unflagged one: the class refuses it
+        monkeypatch.chdir(tmp_path)
+        assert main(["auth", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_each_scheme_fills_unflagged_sizes_from_its_own_class(self, monkeypatch, tmp_path):
@@ -1015,7 +1036,8 @@ class TestSchemeRoute:
         return [(action.option_strings[-1], action.default) for action in parser._actions]
 
     def test_size_flags_come_from_the_classes(self, monkeypatch):
-        sizes = [("--g1-size", 8), ("--g2-size", 8), ("--ambient-size", 16), ("--subgroup-size", 7)]
+        sizes = [("--g1-size", None), ("--g2-size", None), ("--ambient-size", None),
+                 ("--subgroup-size", None)]
         keygen = [("--scheme", None), ("--seed", None), ("--out-dir", None), *sizes]
         simulate = [("--scheme", None), ("--strategy", None), ("--rounds", None),
                     ("--trials", None), ("--seed", None), *sizes]
